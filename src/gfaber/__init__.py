@@ -3,9 +3,7 @@
 Closed-form ABER of orthogonal space-time block codes over eta-mu
 (lambda-mu) and kappa-mu shadowed channels under additive white
 generalized Gaussian noise, validated against adaptive-quadrature
-oracles.  A compiled extension accelerates the scalar special-function
-kernels when available; set ``GFABER_PURE_PY=1`` to force the
-pure-Python implementation.
+oracles.
 """
 
 from gfaber.aber import (
@@ -68,9 +66,7 @@ from gfaber.noise import (
 from gfaber.quadrature import aber_oracle, integrate_semi_infinite
 from gfaber.specfun import (
     backend,
-    bessel_i,
     gauss_2f1,
-    kummer_1f1,
     ln_gamma,
     upper_incomplete_gamma,
 )
@@ -112,7 +108,6 @@ __all__ = [
     "aber_oracle",
     "aber_point",
     "backend",
-    "bessel_i",
     "builtin_fit",
     "compact_eta_mu",
     "compact_kms",
@@ -120,7 +115,6 @@ __all__ = [
     "fit_q_approx",
     "gauss_2f1",
     "integrate_semi_infinite",
-    "kummer_1f1",
     "levenberg_marquardt",
     "ln_gamma",
     "make_noise_model",

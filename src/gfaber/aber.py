@@ -33,8 +33,6 @@ diagnostics instead of silent NaNs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import exp, log, log1p
 
@@ -80,6 +78,10 @@ class AberScenario:
         object.__setattr__(
             self, "snr_grid", tuple(float(v) for v in self.snr_grid)
         )
+        if not all(math.isfinite(v) for v in self.snr_grid):
+            raise ValueError(
+                f"snr_grid values must be finite, got {self.snr_grid}"
+            )
         if any(b <= a for a, b in zip(self.snr_grid, self.snr_grid[1:])):
             raise ValueError("snr_grid must be strictly increasing")
 
@@ -312,14 +314,11 @@ def aber_point(scenario, snr_db, method=METHOD_CLOSED, rel_tol=1e-10):
     return quadrature.aber_oracle(pdf, weight, a_const, b_const, rel_tol)
 
 
-def sweep(scenario, method=METHOD_CLOSED, rel_tol=1e-10, threads=None):
-    """Evaluate a scenario across its SNR grid.
+def sweep(scenario, method=METHOD_CLOSED, rel_tol=1e-10):
+    """Evaluate a scenario across its SNR grid, one point after another.
 
-    ``threads`` controls parallel evaluation of grid points: ``None`` or
-    1 is serial, 0 picks the machine's CPU count, larger values size the
-    pool explicitly.  Output order and content are independent of the
-    thread count.  Per-point numerical failures become gaps (value
-    ``None``) with a diagnostic message instead of aborting the sweep.
+    Per-point numerical failures become gaps (value ``None``) with a
+    diagnostic message instead of aborting the sweep.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected {METHODS}")
@@ -331,12 +330,7 @@ def sweep(scenario, method=METHOD_CLOSED, rel_tol=1e-10, threads=None):
             return None, f"snr_db={snr_db:g}: {exc}"
 
     grid = scenario.snr_grid
-    if threads is not None and threads != 1 and len(grid) > 1:
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, grid))
-    else:
-        outcomes = [evaluate(snr_db) for snr_db in grid]
+    outcomes = [evaluate(snr_db) for snr_db in grid]
 
     points = tuple(
         (snr_db, value) for snr_db, (value, _) in zip(grid, outcomes)

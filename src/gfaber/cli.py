@@ -19,9 +19,6 @@ header row naming the columns.
 
 Exit codes: 0 success, 1 verification tolerance breach, 2 usage or
 configuration error, 3 numerical failure.
-
-The environment variable ``ABER_THREADS`` sets sweep parallelism
-(0 = auto, 1 = serial); results are identical regardless.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
 from dataclasses import replace
@@ -39,7 +35,7 @@ from gfaber import fading as fading_mod
 from gfaber import modulation as modulation_mod
 from gfaber import nlfit
 from gfaber import noise as noise_mod
-from gfaber import quadrature, specfun
+from gfaber import quadrature
 from gfaber.errors import FitConvergenceError, GfaberError, NotTabulatedError
 
 VERIFY_TOL = 1e-6
@@ -143,6 +139,8 @@ def _parse_snr(text):
         raise UsageError(
             f"--snr expects numeric start:step:stop, got {text!r}"
         ) from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise UsageError(f"--snr values must be finite, got {text!r}")
     if step <= 0.0:
         raise UsageError(f"--snr step must be positive, got {step}")
     if stop < start:
@@ -316,21 +314,6 @@ def _scenarios_from_preset(name):
     return scenarios, preset["note"]
 
 
-def _threads():
-    raw = os.environ.get("ABER_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(
-            f"ABER_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise UsageError(f"ABER_THREADS must be >= 0, got {value}")
-    return value
-
-
 # --------------------------------------------------------------------------
 # echo helpers
 
@@ -384,12 +367,8 @@ def _num(value):
 
 def _cmd_aber(args):
     scenarios, note = _scenarios_from_args(args)
-    threads = _threads()
-    multi = len(scenarios) > 1
-    if multi and args.verify:
-        raise UsageError("--verify is not supported with multi-curve presets")
     curves = [
-        (label, aber_mod.sweep(sc, aber_mod.METHOD_CLOSED, threads=threads))
+        (label, aber_mod.sweep(sc, aber_mod.METHOD_CLOSED))
         for label, sc in scenarios
     ]
     failures = [
@@ -398,43 +377,13 @@ def _cmd_aber(args):
         for diag in curve.diagnostics
         if "aber increased" not in diag
     ]
-    rows = []
-    if args.verify:
-        label, scenario = scenarios[0]
-        closed = curves[0][1]
-        approx = aber_mod.sweep(
-            scenario, aber_mod.METHOD_ORACLE_APPROX, threads=threads
-        )
-        exact = aber_mod.sweep(
-            scenario, aber_mod.METHOD_ORACLE_EXACT, threads=threads
-        )
-        failures += [
-            d
-            for c in (approx, exact)
-            for d in c.diagnostics
-            if "aber increased" not in d
-        ]
-        header = "snr_db,aber_closed,aber_oracle_approx,aber_oracle_exact,rel_dev"
-        for (snr_db, c_val), (_, a_val), (_, e_val) in zip(
-            closed.points, approx.points, exact.points
-        ):
-            rel = None
-            if c_val is not None and a_val not in (None, 0.0):
-                rel = abs(c_val - a_val) / abs(a_val)
-            rows.append(
-                f"{_num(snr_db)},{_num(c_val)},{_num(a_val)},"
-                f"{_num(e_val)},{_num(rel)}"
-            )
-    else:
-        header = "snr_db," + ",".join(label for label, _ in curves)
-        grid = scenarios[0][1].snr_grid
-        columns = [dict(curve.points) for _, curve in curves]
-        for snr_db in grid:
-            rows.append(
-                ",".join(
-                    [_num(snr_db)] + [_num(col.get(snr_db)) for col in columns]
-                )
-            )
+    header = "snr_db," + ",".join(label for label, _ in curves)
+    grid = scenarios[0][1].snr_grid
+    columns = [dict(curve.points) for _, curve in curves]
+    rows = [
+        ",".join([_num(snr_db)] + [_num(col.get(snr_db)) for col in columns])
+        for snr_db in grid
+    ]
     if args.json:
         payload = {
             "curves": [
@@ -467,7 +416,6 @@ def _cmd_aber(args):
 
 def _cmd_verify(args):
     scenarios, _ = _scenarios_from_args(args)
-    threads = _threads()
     all_approx_devs = []
     all_exact_devs = []
     lines = []
@@ -486,20 +434,12 @@ def _cmd_verify(args):
                     source=fit.source,
                 ),
             )
-        closed = aber_mod.sweep(
-            closed_scenario, aber_mod.METHOD_CLOSED, threads=threads
-        )
+        closed = aber_mod.sweep(closed_scenario, aber_mod.METHOD_CLOSED)
         approx = aber_mod.sweep(
-            scenario,
-            aber_mod.METHOD_ORACLE_APPROX,
-            rel_tol=args.rel_tol,
-            threads=threads,
+            scenario, aber_mod.METHOD_ORACLE_APPROX, rel_tol=args.rel_tol
         )
         exact = aber_mod.sweep(
-            scenario,
-            aber_mod.METHOD_ORACLE_EXACT,
-            rel_tol=args.rel_tol,
-            threads=threads,
+            scenario, aber_mod.METHOD_ORACLE_EXACT, rel_tol=args.rel_tol
         )
         gaps = [
             d
@@ -689,11 +629,6 @@ def build_parser():
         "aber", help="sweep a scenario over an SNR grid (CSV/JSON)"
     )
     _add_scenario_flags(cmd)
-    cmd.add_argument(
-        "--verify",
-        action="store_true",
-        help="add quadrature-oracle columns and relative deviation",
-    )
     cmd.add_argument(
         "--json", action="store_true", help="JSON output with scenario echo"
     )

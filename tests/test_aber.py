@@ -181,14 +181,6 @@ def test_sweep_oracle_methods_agree_with_closed():
         assert math.isclose(c, ex, rel_tol=0.05)
 
 
-def test_sweep_thread_settings_do_not_change_values():
-    sc = scenario(fading.EtaMuParams(shape=0.7, mu=2.0))
-    serial = aber.sweep(sc, threads=1)
-    pooled = aber.sweep(sc, threads=2)
-    auto = aber.sweep(sc, threads=0)
-    assert serial.points == pooled.points == auto.points
-
-
 def test_sweep_empty_grid():
     sc = scenario(fading.EtaMuParams(shape=0.4, mu=1.0), snr_grid=())
     curve = aber.sweep(sc)
@@ -218,3 +210,11 @@ def test_scenario_validation():
                           modulation=BPSK, snr_grid=(0.0,))
     with pytest.raises(ValueError):
         aber.aber_point(scenario(params), 0.0, method="guesswork")
+
+
+def test_scenario_rejects_non_finite_snr():
+    params = fading.EtaMuParams(shape=0.4, mu=1.0)
+    for grid in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="snr_grid"):
+            aber.AberScenario(fading=params, mimo=MIMO1, noise=FIT2,
+                              modulation=BPSK, snr_grid=grid)

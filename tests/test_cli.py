@@ -9,6 +9,9 @@ scenario resolution, output formatting, and error reporting.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +153,12 @@ def test_malformed_snr(capsys):
     assert "error:" in err
 
 
+def test_non_finite_snr_flag_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, ["aber"] + ETA_FLAGS + ["--snr", "nan:1:5"])
+    assert code == 2
+    assert "--snr" in err
+
+
 def test_unknown_preset(capsys):
     code, _, err = run_cli(capsys, ["aber", "--preset", "fig99"])
     assert code == 2
@@ -162,12 +171,6 @@ def test_preset_conflicts_with_model(capsys):
     )
     assert code == 2
     assert "mutually exclusive" in err
-
-
-def test_preset_rejects_verify_columns(capsys):
-    code, _, err = run_cli(capsys, ["aber", "--preset", "fig1", "--verify"])
-    assert code == 2
-    assert "--verify" in err
 
 
 def test_invalid_modulation(capsys):
@@ -186,22 +189,6 @@ def test_untabulated_a_requires_refit(capsys):
     )
     assert code == 0
     assert out.startswith("snr_db,aber_closed")
-
-
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("ABER_THREADS", "soon")
-    code, _, err = run_cli(capsys, ["aber"] + ETA_FLAGS)
-    assert code == 2
-    assert "ABER_THREADS" in err
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["aber"] + ETA_FLAGS + ["--snr", "0:5:20"]
-    monkeypatch.delenv("ABER_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("ABER_THREADS", "2")
-    _, pooled, _ = run_cli(capsys, argv)
-    assert pooled == serial
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +220,21 @@ def test_config_missing_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["aber", "--config", str(path)])
     assert code == 2
     assert "missing" in err
+
+
+def test_config_infinite_snr_exits_two(capsys, tmp_path):
+    config = {
+        "fading": {"model": "eta-mu", "eta": 0.5, "mu": 1.0},
+        "noise": {"a": 2.0},
+        "modulation": "bpsk",
+        "snr_db": {"start": 0, "step": 5, "stop": math.inf},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    code, _, err = run_cli(capsys, ["aber", "--config", str(path)])
+    assert code == 2
+    assert "finite" in err
 
 
 def test_config_invalid_json(capsys, tmp_path):
@@ -400,3 +402,26 @@ def test_pdf_rejects_negative_gamma(capsys):
     )
     assert code == 2
     assert ">= 0" in err
+
+
+# --------------------------------------------------------------------------
+# imports
+
+
+def test_cli_import_loads_no_thread_pool_or_kernel_twin():
+    """A fresh ``import gfaber.cli`` loads no thread pool or kernel twin."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, gfaber.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'concurrent.futures' or m.startswith('gfaber._kernels')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -6,14 +6,11 @@ standard definitions (``mp.gammainc``, ``mp.hyp1f1``, ``mp.hyp2f1``,
 """
 
 import math
-import subprocess
-import sys
 
 import pytest
 import scipy.special as sps
 
 from gfaber import specfun
-from gfaber.errors import OverflowLogValue
 
 # (s, x) -> Gamma(s, x), mpmath 50 dps
 UPPER_GAMMA_REFS = {
@@ -26,7 +23,6 @@ UPPER_GAMMA_REFS = {
 KUMMER_REFS = {
     (0.5, 1.5, 2.0): 2.3644538928052092846,
     (3.0, 4.0, 100.0): 7.9046772672245278996e41,
-    (-2.5, 3.0, 4.0): -0.2004825123718698952,
 }
 
 # (a, b, c, z) -> 2F1(a, b; c; z), mpmath 50 dps
@@ -38,18 +34,7 @@ GAUSS_REFS = {
 
 
 def test_backend_reports_a_known_flavor():
-    assert specfun.backend() in ("compiled", "python")
-
-
-def test_pure_python_backend_can_be_forced():
-    """GFABER_PURE_PY must select the fallback kernels in a fresh process."""
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from gfaber import specfun; print(specfun.backend())"],
-        env={"GFABER_PURE_PY": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert specfun.backend() == "python"
 
 
 def test_ln_gamma_matches_factorials():
@@ -108,26 +93,34 @@ def test_upper_gamma_domain_errors():
         specfun.upper_incomplete_gamma(1.0, -0.5)
 
 
+def bessel_i(v, x):
+    return math.exp(specfun.log_bessel_i(v, x))
+
+
+def kummer_1f1(a, b, z):
+    return math.exp(specfun.log_kummer_1f1(a, b, z))
+
+
 def test_bessel_half_order_closed_form():
     """I_{1/2}(x) = sqrt(2 / (pi x)) sinh x, and I_{-1/2} with cosh."""
     for x in (0.05, 0.7, 3.0, 12.0, 80.0):
         want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-        assert math.isclose(specfun.bessel_i(0.5, x), want, rel_tol=1e-12)
+        assert math.isclose(bessel_i(0.5, x), want, rel_tol=1e-12)
         want = math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
-        assert math.isclose(specfun.bessel_i(-0.5, x), want, rel_tol=1e-12)
+        assert math.isclose(bessel_i(-0.5, x), want, rel_tol=1e-12)
 
 
 def test_bessel_against_scipy():
     for v in (0.0, 0.3, 1.0, 2.5, 7.0):
         for x in (0.01, 0.4, 2.0, 9.0, 40.0, 300.0):
-            got = specfun.bessel_i(v, x)
+            got = bessel_i(v, x)
             want = sps.iv(v, x)
             assert math.isclose(got, want, rel_tol=1e-11), (v, x)
 
 
 def test_bessel_frozen_reference():
     assert math.isclose(
-        specfun.bessel_i(2.5, 0.3), 0.002639014893590273704, rel_tol=1e-12
+        bessel_i(2.5, 0.3), 0.002639014893590273704, rel_tol=1e-12
     )
 
 
@@ -138,25 +131,26 @@ def test_log_bessel_large_argument():
 
 
 def test_bessel_at_zero_limits():
-    assert specfun.bessel_i(0.0, 0.0) == 1.0
-    assert specfun.bessel_i(2.0, 0.0) == 0.0
+    assert bessel_i(0.0, 0.0) == 1.0
+    assert bessel_i(2.0, 0.0) == 0.0
     assert specfun.log_bessel_i(1.0, 0.0) == -math.inf
     assert specfun.log_bessel_i(-0.5, 0.0) == math.inf
 
 
 def test_bessel_overflow_reports_log_value():
+    """I_0(1e5) overflows a double; its log stays representable."""
     x = 1e5
-    with pytest.raises(OverflowLogValue) as err:
-        specfun.bessel_i(0.0, x)
     expected_log = x - 0.5 * math.log(2.0 * math.pi * x)
-    assert math.isclose(err.value.log_value, expected_log, rel_tol=1e-10)
+    assert math.isclose(
+        specfun.log_bessel_i(0.0, x), expected_log, rel_tol=1e-10
+    )
 
 
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
-        specfun.bessel_i(-0.75, 1.0)
+        specfun.log_bessel_i(-0.75, 1.0)
     with pytest.raises(ValueError):
-        specfun.bessel_i(1.0, -1.0)
+        specfun.log_bessel_i(1.0, -1.0)
 
 
 def test_kummer_identity_exponential():
@@ -164,13 +158,13 @@ def test_kummer_identity_exponential():
     for a in (0.5, 1.0, 3.7):
         for z in (0.0, 0.3, 2.0, 30.0, 500.0):
             assert math.isclose(
-                specfun.kummer_1f1(a, a, z), math.exp(z), rel_tol=1e-12
+                kummer_1f1(a, a, z), math.exp(z), rel_tol=1e-12
             )
 
 
 def test_kummer_frozen_references():
     for (a, b, z), want in KUMMER_REFS.items():
-        got = specfun.kummer_1f1(a, b, z)
+        got = kummer_1f1(a, b, z)
         assert math.isclose(got, want, rel_tol=1e-12), (a, b, z, got, want)
 
 
@@ -178,7 +172,7 @@ def test_kummer_against_scipy():
     for a in (0.5, 1.5, 4.0):
         for b in (0.7, 2.0, 6.0):
             for z in (0.0, 0.2, 3.0, 40.0, 200.0):
-                got = specfun.kummer_1f1(a, b, z)
+                got = kummer_1f1(a, b, z)
                 want = float(sps.hyp1f1(a, b, z))
                 assert math.isclose(got, want, rel_tol=1e-10), (a, b, z)
 
@@ -187,7 +181,7 @@ def test_log_kummer_matches_linear_value():
     for a, b, z in ((2.0, 3.0, 10.0), (0.5, 1.5, 80.0)):
         assert math.isclose(
             specfun.log_kummer_1f1(a, b, z),
-            math.log(specfun.kummer_1f1(a, b, z)),
+            math.log(float(sps.hyp1f1(a, b, z))),
             rel_tol=1e-12,
         )
 
@@ -204,9 +198,9 @@ def test_log_kummer_large_argument_asymptotic():
 
 def test_kummer_domain_errors():
     with pytest.raises(ValueError):
-        specfun.kummer_1f1(1.0, -2.0, 1.0)
+        specfun.log_kummer_1f1(1.0, -2.0, 1.0)
     with pytest.raises(ValueError):
-        specfun.kummer_1f1(1.0, 2.0, -1.0)
+        specfun.log_kummer_1f1(1.0, 2.0, -1.0)
     with pytest.raises(ValueError):
         specfun.log_kummer_1f1(-1.0, 2.0, 1.0)
 
@@ -258,31 +252,3 @@ def test_gauss_2f1_domain_errors():
     with pytest.raises(ValueError):
         specfun.gauss_2f1(1.0, 1.0, 0.0, 0.5)
 
-
-def test_backends_agree_when_both_present():
-    """Compiled and pure kernels may differ only in last-bit rounding.
-
-    The bound is 1e-13 relative: CPython ships its own lgamma whose
-    last-ulp difference from libm's gets amplified by exp().
-    """
-    try:
-        from gfaber import _kernels as kc
-    except ImportError:
-        pytest.skip("compiled kernels not built")
-    from gfaber import _kernels_py as kp
-
-    probes = [
-        ("upper_gamma", [(0.5, 1.0), (3.0, 0.2), (12.5, 40.0), (50.0, 5.0)]),
-        ("log_bessel_i", [(0.0, 1.0), (2.5, 0.3), (10.0, 5000.0)]),
-        ("log_hyp1f1", [(0.5, 1.5, 2.0), (3.0, 4.0, 100.0), (2.0, 5.0, 9000.0)]),
-        ("hyp1f1_kahan", [(-2.5, 3.0, 4.0), (0.3, 1.7, 25.0)]),
-        ("hyp2f1", [(0.3, 0.7, 1.1, 0.3), (1.25, 1.75, 1.5, 0.85),
-                    (5.0, 1.0, 3.3, 0.97)]),
-    ]
-    for name, cases in probes:
-        fc, fp = getattr(kc, name), getattr(kp, name)
-        for args in cases:
-            a, b = fc(*args), fp(*args)
-            assert math.isclose(a, b, rel_tol=1e-13, abs_tol=1e-300), (
-                name, args, a, b,
-            )
