@@ -4,6 +4,11 @@ Closed-form ABER of orthogonal space-time block codes over eta-mu
 (lambda-mu) and kappa-mu shadowed channels under additive white
 generalized Gaussian noise, validated against adaptive-quadrature
 oracles.
+
+Everything exported here needs only the standard library.  The
+Levenberg-Marquardt refit of the noise model (``fit_q_approx``,
+``levenberg_marquardt``) is imported from :mod:`gfaber.nlfit`, the one
+module that needs numpy, so ``import gfaber`` does not load it.
 """
 
 from gfaber.aber import (
@@ -47,13 +52,6 @@ from gfaber.fading import (
     special_case_params,
 )
 from gfaber.modulation import ModulationSpec, mod_constants, parse_modulation
-from gfaber.nlfit import (
-    LmProblem,
-    LmResult,
-    fit_q_approx,
-    levenberg_marquardt,
-    max_abs_deviation,
-)
 from gfaber.noise import (
     TABULATED_A,
     NoiseModel,
@@ -88,8 +86,6 @@ __all__ = [
     "FitConvergenceError",
     "GfaberError",
     "KappaMuShadowedParams",
-    "LmProblem",
-    "LmResult",
     "MimoConfig",
     "ModulationSpec",
     "NoiseModel",
@@ -112,13 +108,10 @@ __all__ = [
     "compact_eta_mu",
     "compact_kms",
     "eta_mu_hH",
-    "fit_q_approx",
     "gauss_2f1",
     "integrate_semi_infinite",
-    "levenberg_marquardt",
     "ln_gamma",
     "make_noise_model",
-    "max_abs_deviation",
     "mod_constants",
     "parse_fading_json",
     "parse_modulation",

@@ -33,7 +33,6 @@ from dataclasses import replace
 from gfaber import aber as aber_mod
 from gfaber import fading as fading_mod
 from gfaber import modulation as modulation_mod
-from gfaber import nlfit
 from gfaber import noise as noise_mod
 from gfaber import quadrature
 from gfaber.errors import FitConvergenceError, GfaberError, NotTabulatedError
@@ -149,11 +148,26 @@ def _parse_snr(text):
     return tuple(start + k * step for k in range(count))
 
 
+def _parse_values(flag, text):
+    """Parse a comma-separated list of finite numbers given to ``flag``."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"{flag} expects comma-separated numbers, got {text!r}"
+        ) from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
 def _build_fit(a, fit_kind):
     try:
         if fit_kind == "table":
             fit = noise_mod.builtin_fit(a)
         elif fit_kind == "refit":
+            from gfaber import nlfit  # numpy is loaded only for a refit
+
             fit = nlfit.fit_q_approx(a)
         else:
             raise UsageError(
@@ -486,20 +500,15 @@ def _cmd_qfit(args):
         for a in noise_mod.TABULATED_A:
             fit = noise_mod.builtin_fit(a)
             row = fit.to_dict()
-            row["max_abs_dev"] = nlfit.max_abs_deviation(fit)
+            row["max_abs_dev"] = noise_mod.max_abs_deviation(fit)
             rows.append(row)
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
         return 0
     if args.a is None:
         raise UsageError("qfit requires --a or --table")
-    grid = None
-    if args.grid:
-        try:
-            grid = [float(v) for v in args.grid.split(",")]
-        except ValueError:
-            raise UsageError(
-                f"--grid expects comma-separated numbers, got {args.grid!r}"
-            ) from None
+    grid = _parse_values("--grid", args.grid) if args.grid else None
+    from gfaber import nlfit  # numpy is loaded only for a refit
+
     try:
         fit = nlfit.fit_q_approx(args.a, grid=grid)
     except ValueError as exc:
@@ -512,7 +521,7 @@ def _cmd_qfit(args):
         sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 3
     row = fit.to_dict()
-    row["max_abs_dev"] = nlfit.max_abs_deviation(fit, grid)
+    row["max_abs_dev"] = noise_mod.max_abs_deviation(fit, grid)
     _emit(json.dumps(row, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -527,12 +536,7 @@ def _cmd_pdf(args):
         mimo = fading_mod.MimoConfig(nt=args.nt, nr=args.nr)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:
-        grid = [float(v) for v in args.gamma.split(",")]
-    except ValueError:
-        raise UsageError(
-            f"--gamma expects comma-separated numbers, got {args.gamma!r}"
-        ) from None
+    grid = _parse_values("--gamma", args.gamma)
     if any(g < 0.0 for g in grid):
         raise UsageError("--gamma values must be >= 0")
     if isinstance(params, fading_mod.EtaMuParams):

@@ -97,17 +97,19 @@ class EtaMuParams:
             raise ValueError(
                 f"format must be {FORMAT1!r} or {FORMAT2!r}, got {self.fmt!r}"
             )
-        if self.fmt == FORMAT1 and not self.shape > 0.0:
-            raise ValueError(f"format-1 eta must be > 0, got {self.shape}")
+        if self.fmt == FORMAT1 and not 0.0 < self.shape < inf:
+            raise ValueError(
+                f"format-1 eta must be finite and > 0, got {self.shape}"
+            )
         if self.fmt == FORMAT2 and not -1.0 < self.shape < 1.0:
             raise ValueError(
                 f"format-2 lambda must lie in (-1, 1), got {self.shape}"
             )
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.mean_power > 0.0:
+        if not 0.0 < self.mu < inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0.0 < self.mean_power < inf:
             raise ValueError(
-                f"mean_power must be > 0, got {self.mean_power}"
+                f"mean_power must be finite and > 0, got {self.mean_power}"
             )
 
 
@@ -121,15 +123,21 @@ class KappaMuShadowedParams:
     mean_power: float = 1.0
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.m > 0.0:
-            raise ValueError(f"m must be > 0, got {self.m}")
-        if not self.mean_power > 0.0:
+        if not 0.0 <= self.kappa < inf:
             raise ValueError(
-                f"mean_power must be > 0, got {self.mean_power}"
+                f"kappa must be finite and >= 0, got {self.kappa}"
+            )
+        if not 0.0 < self.mu < inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0.0 < self.m < inf:
+            hint = (
+                f"; use M_LARGE = {M_LARGE:g} as the finite surrogate for "
+                "m -> inf" if self.m == inf else ""
+            )
+            raise ValueError(f"m must be finite and > 0, got {self.m}{hint}")
+        if not 0.0 < self.mean_power < inf:
+            raise ValueError(
+                f"mean_power must be finite and > 0, got {self.mean_power}"
             )
 
 

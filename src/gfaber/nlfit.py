@@ -23,6 +23,7 @@ import numpy as np
 
 from gfaber import noise
 from gfaber.errors import FitConvergenceError, NonFiniteResidualError
+from gfaber.noise import default_fit_grid, max_abs_deviation
 
 STATUS_GRADIENT = "gradient"
 STATUS_STEP = "step"
@@ -151,32 +152,6 @@ def levenberg_marquardt(problem):
     return LmResult(params=params, ssr=ssr, iterations=iterations, status=status)
 
 
-def default_fit_grid():
-    """Default fitting grid: {0} + {0.0625 k^2 : k = 1..32}.
-
-    The grid lives in the squared-argument variable of the 4-exponential
-    model; quadratic spacing concentrates points at small arguments where
-    the target curves fastest, while still reaching 64.
-    """
-    return np.array([0.0] + [0.0625 * k * k for k in range(1, 33)])
-
-
-def max_abs_deviation(fit, grid=None):
-    """Max absolute deviation of a fit from the exact Q over a grid.
-
-    The grid is in the squared-argument variable (the fit's ``x``); each
-    point compares ``sum p_i e^(-q_i x)`` with ``Q_a(sqrt(x))``.
-    """
-    if grid is None:
-        grid = default_fit_grid()
-    model = noise.make_noise_model(fit.a)
-    worst = 0.0
-    for x in np.asarray(grid, dtype=float):
-        dev = abs(noise.q_approx(fit, x) - noise.q_exact(model, np.sqrt(x)))
-        worst = max(worst, dev)
-    return worst
-
-
 def _nearest_builtin(a):
     """Embedded row closest to ``a`` in shape parameter."""
     best = min(noise.TABULATED_A, key=lambda t: (abs(t - a), t))
@@ -188,8 +163,9 @@ def fit_q_approx(a, grid=None, n_restarts=8):
 
     Minimizes ``sum_x (sum_i p_i e^(-q_i x) - Q_a(sqrt(x)))^2`` over the
     eight parameters, with positivity of the decay rates enforced by
-    optimizing ``log q_i``.  ``grid`` (default :func:`default_fit_grid`)
-    must contain at least 16 distinct non-negative points.
+    optimizing ``log q_i``.  ``grid`` (default
+    :func:`~gfaber.noise.default_fit_grid`) must contain at least 16
+    distinct finite non-negative points.
 
     Returns a canonicalized :class:`~gfaber.noise.QApprox` (pairs sorted
     by ascending q, source ``"refit"``).  Raises
@@ -202,8 +178,8 @@ def fit_q_approx(a, grid=None, n_restarts=8):
     grid = np.asarray(grid, dtype=float)
     if np.unique(grid).size < 16:
         raise ValueError("fitting grid needs at least 16 distinct points")
-    if np.any(grid < 0.0):
-        raise ValueError("fitting grid points must be non-negative")
+    if not np.all(np.isfinite(grid) & (grid >= 0.0)):
+        raise ValueError("fitting grid points must be finite and non-negative")
     target = np.array([noise.q_exact(model, np.sqrt(x)) for x in grid])
 
     def residual(theta):

@@ -179,6 +179,34 @@ def builtin_fit(a):
     return QApprox(a=key, p=p, q=q, source=SOURCE_BUILTIN)
 
 
+def default_fit_grid():
+    """Default fitting grid: {0} + {0.0625 k^2 : k = 1..32}.
+
+    The grid lives in the squared-argument variable of the 4-exponential
+    model; quadratic spacing concentrates points at small arguments where
+    the target curves fastest, while still reaching 64.
+    """
+    return [0.0] + [0.0625 * k * k for k in range(1, 33)]
+
+
+def max_abs_deviation(fit, grid=None):
+    """Max absolute deviation of a fit from the exact Q over a grid.
+
+    The grid (default :func:`default_fit_grid`) is in the squared-argument
+    variable (the fit's ``x``); each point compares ``sum p_i e^(-q_i x)``
+    with ``Q_a(sqrt(x))``.
+    """
+    if grid is None:
+        grid = default_fit_grid()
+    model = make_noise_model(fit.a)
+    worst = 0.0
+    for x in grid:
+        x = float(x)
+        dev = abs(q_approx(fit, x) - q_exact(model, math.sqrt(x)))
+        worst = max(worst, dev)
+    return worst
+
+
 def origin_consistency_gap(fit):
     """Absolute gap ``|sum(p) - Q_a(0)|`` between a fit and the exact
     function at the origin.

@@ -159,6 +159,22 @@ def test_non_finite_snr_flag_is_a_usage_error(capsys):
     assert "--snr" in err
 
 
+def test_non_finite_fading_flags_are_usage_errors(capsys):
+    cases = (
+        (["--model", "kappa-mu-shadowed", "--kappa", "1", "--mu", "1",
+          "--m", "inf"], "M_LARGE"),
+        (["--model", "kappa-mu-shadowed", "--kappa", "nan", "--mu", "1",
+          "--m", "1"], "kappa must be finite"),
+        (["--model", "eta-mu", "--eta", "inf", "--mu", "1"],
+         "eta must be finite"),
+    )
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, ["aber"] + flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 def test_unknown_preset(capsys):
     code, _, err = run_cli(capsys, ["aber", "--preset", "fig99"])
     assert code == 2
@@ -333,9 +349,11 @@ def test_qfit_rejects_out_of_range_shape(capsys):
 
 
 def test_qfit_custom_grid_must_parse(capsys):
-    code, _, err = run_cli(capsys, ["qfit", "--a", "2", "--grid", "1,two,3"])
-    assert code == 2
-    assert "--grid" in err
+    grid = ",".join(str(x) for x in noise.default_fit_grid()[:20])
+    for text in ("1,two,3", grid + ",nan", grid + ",inf"):
+        code, _, err = run_cli(capsys, ["qfit", "--a", "2", "--grid", text])
+        assert code == 2
+        assert "--grid" in err
 
 
 # --------------------------------------------------------------------------
@@ -395,33 +413,67 @@ def test_pdf_mean_power_db_shift(capsys):
 
 
 def test_pdf_rejects_negative_gamma(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["pdf", "--model", "eta-mu", "--eta", "1", "--mu", "0.5",
-         "--gamma", "-1.0"],
-    )
-    assert code == 2
-    assert ">= 0" in err
+    for gamma, message in (("-1.0", ">= 0"), ("1,nan", "--gamma"),
+                           ("inf", "--gamma")):
+        code, out, err = run_cli(
+            capsys,
+            ["pdf", "--model", "eta-mu", "--eta", "1", "--mu", "0.5",
+             "--gamma", gamma],
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 # --------------------------------------------------------------------------
 # imports
 
 
+# What ``qfit --a 1.7`` printed while the CLI still imported numpy
+# eagerly.  The last digits follow the LAPACK build, hence the tolerance.
+QFIT_1_7 = {
+    "a": 1.7,
+    "max_abs_dev": 0.00010154178540744407,
+    "p": [0.12903353059367295, 0.16632294668353634, 0.09827612757625445,
+          0.08490236618958684],
+    "q": [0.4497370463700631, 1.0350834180226045, 3.568508577372825,
+          26.367050108572354],
+    "source": "refit",
+}
+
+
 def test_cli_import_loads_no_thread_pool_or_kernel_twin():
-    """A fresh ``import gfaber.cli`` loads no thread pool or kernel twin."""
+    """A fresh interpreter loads no thread pool, no kernel twin, and
+    numpy only for the Levenberg-Marquardt refit."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    # Runs ``gfaber.cli.main(argv)`` (just the imports when argv is
+    # empty), then reports the watched modules it loaded on stderr.
     probe = (
-        "import sys, gfaber.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m == 'concurrent.futures' or m.startswith('gfaber._kernels')))"
+        "import json, sys, gfaber, gfaber.cli; "
+        "argv = json.loads(sys.argv[1]); "
+        "code = gfaber.cli.main(argv) if argv else 0; "
+        "sys.stderr.write(repr(sorted(m for m in sys.modules "
+        "if m in ('numpy', 'concurrent.futures') "
+        "or m.startswith('gfaber._kernels')))); "
+        "sys.exit(code)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
-        text=True, check=True, timeout=60,
+    cases = (
+        ([], []),
+        (["aber", "--preset", "fig1"], []),
+        (["qfit", "--table"], []),
+        (["pdf", "--model", "eta-mu", "--eta", "0.5", "--mu", "1",
+          "--gamma", "0.5,1", "--check-norm"], []),
+        (["verify"] + ETA_FLAGS + ["--snr", "0:10:10"], []),
+        (["qfit", "--a", "1.7"], ["numpy"]),
     )
-    assert out.stdout.strip() == "[]"
+    for argv, loaded in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argv)], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stderr == repr(loaded), argv
+    assert json.loads(out.stdout) == pytest.approx(QFIT_1_7, rel=1e-12)

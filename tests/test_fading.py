@@ -272,6 +272,29 @@ def test_param_validation():
         fading.MimoConfig(nt=0, nr=1)
 
 
+def test_param_validation_rejects_non_finite_values():
+    cases = (
+        (lambda v: fading.EtaMuParams(shape=v, mu=1.0), "eta"),
+        (lambda v: fading.EtaMuParams(shape=0.5, mu=v), "mu"),
+        (lambda v: fading.EtaMuParams(shape=0.5, mu=1.0, mean_power=v),
+         "mean_power"),
+        (lambda v: fading.KappaMuShadowedParams(kappa=v, mu=1.0, m=1.0),
+         "kappa"),
+        (lambda v: fading.KappaMuShadowedParams(kappa=1.0, mu=v, m=1.0),
+         "mu"),
+        (lambda v: fading.KappaMuShadowedParams(kappa=1.0, mu=1.0, m=v),
+         "m"),
+        (lambda v: fading.KappaMuShadowedParams(
+            kappa=1.0, mu=1.0, m=1.0, mean_power=v), "mean_power"),
+    )
+    for build, field in cases:
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                build(value)
+    with pytest.raises(ValueError, match="M_LARGE"):
+        fading.KappaMuShadowedParams(kappa=1.0, mu=1.0, m=math.inf)
+
+
 def test_mimo_branches():
     assert MIMO1.branches == 1
     assert MIMO2.branches == 2

@@ -121,7 +121,8 @@ def test_refit_rejects_small_grid():
 
 
 def test_refit_rejects_negative_grid():
-    bad = list(nlfit.default_fit_grid())
-    bad[0] = -1.0
-    with pytest.raises(ValueError):
-        nlfit.fit_q_approx(2.0, grid=bad)
+    for value in (-1.0, math.inf, math.nan):
+        bad = list(nlfit.default_fit_grid())
+        bad[5] = value
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            nlfit.fit_q_approx(2.0, grid=bad)

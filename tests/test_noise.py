@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from gfaber import nlfit, noise
+from gfaber import noise
 from gfaber.errors import NotTabulatedError
 
 # a -> (Q_a(0), Q_a(1)), mpmath 50 dps
@@ -159,9 +159,9 @@ def test_qapprox_to_dict_round_trip():
 def test_max_abs_deviation_agrees_with_manual_scan():
     fit = noise.builtin_fit(2.0)
     model = noise.make_noise_model(2.0)
-    grid = nlfit.default_fit_grid()
+    grid = noise.default_fit_grid()
     manual = max(
         abs(noise.q_approx(fit, x) - noise.q_exact(model, math.sqrt(x)))
         for x in grid
     )
-    assert math.isclose(nlfit.max_abs_deviation(fit), manual, rel_tol=1e-12)
+    assert math.isclose(noise.max_abs_deviation(fit), manual, rel_tol=1e-12)
