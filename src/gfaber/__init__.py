@@ -19,9 +19,7 @@ from gfaber.aber import (
     AberScenario,
     aber_closed,
     aber_eta_mu_closed,
-    aber_eta_mu_reduced,
     aber_kms_closed,
-    aber_kms_reduced,
     aber_point,
     sweep,
 )
@@ -98,9 +96,7 @@ __all__ = [
     "TABULATED_A",
     "aber_closed",
     "aber_eta_mu_closed",
-    "aber_eta_mu_reduced",
     "aber_kms_closed",
-    "aber_kms_reduced",
     "aber_oracle",
     "aber_point",
     "backend",

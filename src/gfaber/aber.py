@@ -10,20 +10,20 @@ which both families admit in closed form:
 
 * eta-mu: each term is a gamma-times-Bessel Laplace transform, yielding a
   Gauss hypergeometric factor ``2F1((m+nu)/2, (m+nu+1)/2; 1+nu; xi^2 /
-  beta_i^2)`` with ``beta_i = beta + q_i B`` (:func:`aber_eta_mu_closed`);
-  because the 2F1's second upper parameter equals its lower parameter the
-  factor collapses to ``(1 - xi^2/beta_i^2)^-(nu+1/2)``
-  (:func:`aber_eta_mu_reduced`);
+  beta_i^2)`` with ``beta_i = beta + q_i B``; because the 2F1's second
+  upper parameter equals its lower parameter the factor collapses to
+  ``(1 - xi^2/beta_i^2)^-(nu+1/2)`` (:func:`aber_eta_mu_closed`);
 
 * kappa-mu shadowed: each term is the Laplace transform of a
   gamma-times-1F1 density, yielding ``Gamma(mu~) s_i^-mu~ 2F1(m~, mu~;
-  mu~; zeta/s_i)`` with ``s_i = beta + q_i B`` (:func:`aber_kms_closed`),
-  collapsing to ``(1 - zeta/s_i)^-m~`` (:func:`aber_kms_reduced`).
+  mu~; zeta/s_i)`` with ``s_i = beta + q_i B``, collapsing to ``(1 -
+  zeta/s_i)^-m~`` (:func:`aber_kms_closed`).
 
-The hypergeometric forms and their elementary reductions are implemented
-independently and cross-checked by the test suite; the reductions also
-serve as the fast path.  Terms are assembled in log space (weights may be
-negative, so signs are carried separately).
+Each family has one evaluator; its ``reduced`` flag selects the
+elementary factor instead of the 2F1 one, and only that factor differs.
+:func:`aber_point` uses the 2F1 form; the test suite cross-checks the
+two.  Terms are assembled in log space (weights may be negative, so signs
+are carried separately).
 
 :func:`sweep` evaluates a scenario over an SNR grid by the closed form or
 by either quadrature oracle, recording per-point failures as gaps with
@@ -115,7 +115,7 @@ def _signed_exp_sum(terms):
     return total
 
 
-def aber_eta_mu_closed(compact, fit, a_const, b_const):
+def aber_eta_mu_closed(compact, fit, a_const, b_const, reduced=False):
     """Closed-form average error rate for aggregated eta-mu fading.
 
     Sums ``Psi_i * 2F1((m+nu)/2, (m+nu+1)/2; 1+nu; xi^2/beta_i^2)`` over
@@ -124,6 +124,14 @@ def aber_eta_mu_closed(compact, fit, a_const, b_const):
     term's magnitude assembled in log space.  The degenerate (balanced,
     ``xi = 0``) bundle averages the underlying gamma density instead:
     term ``A p_i psi Gamma(m+nu) / beta_i^(m+nu)``.
+
+    With ``reduced=True`` the elementary form replaces the 2F1 factor:
+    its lower parameter ``1 + nu`` equals the second upper parameter, so
+    ``2F1(a, b; b; z) = (1-z)^-a`` leaves ``(1 - xi^2/beta_i^2)^-(nu +
+    1/2)``.  The 2F1 form multiplies the factor into ``exp(log_mag)``
+    after exponentiation, so at high diversity and strong imbalance a
+    huge factor times a subnormal ``exp`` loses precision where the
+    elementary form, which stays in log space, does not.
     """
     if a_const == 0.0:
         return 0.0
@@ -146,65 +154,36 @@ def aber_eta_mu_closed(compact, fit, a_const, b_const):
         )
         hyp = 1.0
         if not compact.degenerate:
-            log_mag += (
+            shift = (
                 compact.nu * log(compact.xi)
                 - compact.nu * _LOG2
                 - specfun.ln_gamma(compact.nu + 1.0)
             )
             z = (compact.xi / beta_i) ** 2
-            hyp = specfun.gauss_2f1(
-                0.5 * shape_sum, 0.5 * (shape_sum + 1.0), 1.0 + compact.nu, z
-            )
+            if reduced:
+                log_mag += shift - (compact.nu + 0.5) * log1p(-z)
+            else:
+                log_mag += shift
+                hyp = specfun.gauss_2f1(
+                    0.5 * shape_sum, 0.5 * (shape_sum + 1.0),
+                    1.0 + compact.nu, z,
+                )
         terms.append((math.copysign(hyp, p_i), log_mag))
     return _signed_exp_sum(terms)
 
 
-def aber_eta_mu_reduced(compact, fit, a_const, b_const):
-    """Elementary form of :func:`aber_eta_mu_closed`.
-
-    Uses the identity ``2F1(a, b; b; z) = (1-z)^-a`` (the lower parameter
-    ``1 + nu`` equals the second upper parameter here), so each term needs
-    only ``(1 - xi^2/beta_i^2)^-(nu + 1/2)``; must agree with the
-    hypergeometric form to 1e-12 relative.
-    """
-    if a_const == 0.0:
-        return 0.0
-    shape_sum = compact.m + compact.nu
-    terms = []
-    for p_i, q_i in zip(fit.p, fit.q):
-        if p_i == 0.0:
-            continue
-        beta_i = compact.beta + q_i * b_const
-        if beta_i <= compact.xi:
-            raise ValueError(
-                f"shifted decay rate {beta_i} must exceed xi={compact.xi}"
-            )
-        log_mag = (
-            compact.log_psi
-            + specfun.ln_gamma(shape_sum)
-            - shape_sum * log(beta_i)
-            + log(abs(p_i))
-            + log(a_const)
-        )
-        if not compact.degenerate:
-            z = (compact.xi / beta_i) ** 2
-            log_mag += (
-                compact.nu * log(compact.xi)
-                - compact.nu * _LOG2
-                - specfun.ln_gamma(compact.nu + 1.0)
-                - (compact.nu + 0.5) * log1p(-z)
-            )
-        terms.append((math.copysign(1.0, p_i), log_mag))
-    return _signed_exp_sum(terms)
-
-
-def aber_kms_closed(compact, fit, a_const, b_const):
+def aber_kms_closed(compact, fit, a_const, b_const, reduced=False):
     """Closed-form average error rate for kappa-mu shadowed fading.
 
     Sums ``A psi p_i Gamma(mu~) s_i^-mu~ 2F1(m~, mu~; mu~; zeta/s_i)``
     with ``s_i = beta + q_i * B``.  When ``zeta = 0`` (no dominant
     component, kappa = 0) the hypergeometric factor is exactly 1 and the
     term is a plain gamma-density average.
+
+    With ``reduced=True`` the factor, whose second upper and lower
+    parameters are equal, is the elementary ``(1 - zeta/s_i)^-m~``,
+    evaluated through ``log1p`` so that the heavy-shadowing surrogate
+    (``m~ ~ 1e5`` with ``zeta/s_i ~ 1e-5``) keeps full precision.
     """
     if a_const == 0.0:
         return 0.0
@@ -226,45 +205,16 @@ def aber_kms_closed(compact, fit, a_const, b_const):
         )
         hyp = 1.0
         if compact.zeta != 0.0:
-            hyp = specfun.gauss_2f1(
-                compact.m_tilde,
-                compact.mu_tilde,
-                compact.mu_tilde,
-                compact.zeta / s_i,
-            )
+            if reduced:
+                log_mag -= compact.m_tilde * log1p(-compact.zeta / s_i)
+            else:
+                hyp = specfun.gauss_2f1(
+                    compact.m_tilde,
+                    compact.mu_tilde,
+                    compact.mu_tilde,
+                    compact.zeta / s_i,
+                )
         terms.append((math.copysign(hyp, p_i), log_mag))
-    return _signed_exp_sum(terms)
-
-
-def aber_kms_reduced(compact, fit, a_const, b_const):
-    """Elementary form of :func:`aber_kms_closed`.
-
-    The hypergeometric factor has equal second-upper and lower parameters
-    and therefore collapses to ``(1 - zeta/s_i)^-m~``, evaluated through
-    ``log1p`` so that the heavy-shadowing surrogate (``m~ ~ 1e5`` with
-    ``zeta/s_i ~ 1e-5``) keeps full precision.
-    """
-    if a_const == 0.0:
-        return 0.0
-    terms = []
-    for p_i, q_i in zip(fit.p, fit.q):
-        if p_i == 0.0:
-            continue
-        s_i = compact.beta + q_i * b_const
-        if s_i <= compact.zeta:
-            raise ValueError(
-                f"shifted decay rate {s_i} must exceed zeta={compact.zeta}"
-            )
-        log_mag = (
-            compact.log_psi
-            + specfun.ln_gamma(compact.mu_tilde)
-            - compact.mu_tilde * log(s_i)
-            + log(abs(p_i))
-            + log(a_const)
-        )
-        if compact.zeta != 0.0:
-            log_mag -= compact.m_tilde * log1p(-compact.zeta / s_i)
-        terms.append((math.copysign(1.0, p_i), log_mag))
     return _signed_exp_sum(terms)
 
 
@@ -272,11 +222,9 @@ def aber_closed(params, mimo, fit, a_const, b_const, reduced=False):
     """Closed-form ABER for either fading family at fixed mean power."""
     if isinstance(params, fading_mod.EtaMuParams):
         compact = fading_mod.compact_eta_mu(params, mimo)
-        fn = aber_eta_mu_reduced if reduced else aber_eta_mu_closed
-        return fn(compact, fit, a_const, b_const)
+        return aber_eta_mu_closed(compact, fit, a_const, b_const, reduced)
     compact = fading_mod.compact_kms(params, mimo)
-    fn = aber_kms_reduced if reduced else aber_kms_closed
-    return fn(compact, fit, a_const, b_const)
+    return aber_kms_closed(compact, fit, a_const, b_const, reduced)
 
 
 def _pdf_callable(params, mimo):

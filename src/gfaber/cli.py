@@ -8,7 +8,8 @@ Subcommands
 ``pdf``     evaluate a fading density (CSV), optionally with its norm
 
 Scenarios come from flags, a JSON config file (--config), or a named
-preset (--preset fig1..fig6).  Presets are representative scenario
+preset (--preset fig1..fig6); all three go through one scenario builder,
+so equal inputs give equal scenarios.  Presets are representative scenario
 families — their exact parameter values are choices documented in the
 JSON echo, not authoritative reference data.
 
@@ -163,21 +164,23 @@ def _parse_values(flag, text):
 
 def _build_fit(a, fit_kind):
     try:
+        a = float(a)
         if fit_kind == "table":
-            fit = noise_mod.builtin_fit(a)
-        elif fit_kind == "refit":
+            return noise_mod.builtin_fit(a)
+        if fit_kind == "refit":
             from gfaber import nlfit  # numpy is loaded only for a refit
 
-            fit = nlfit.fit_q_approx(a)
-        else:
-            raise UsageError(
-                f"noise fit must be 'table' or 'refit', got {fit_kind!r}"
-            )
-    except NotTabulatedError as exc:
+            return nlfit.fit_q_approx(a)
+    except (NotTabulatedError, TypeError, ValueError) as exc:
         raise UsageError(f"noise.a: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(f"noise.a: {exc}") from None
-    return fit
+    raise UsageError(f"noise fit must be 'table' or 'refit', got {fit_kind!r}")
+
+
+def _parse_fading(spec):
+    try:
+        return fading_mod.parse_fading_json(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"fading: {exc}") from None
 
 
 def _fading_from_flags(args):
@@ -192,10 +195,36 @@ def _fading_from_flags(args):
         spec["lambda"] = args.lambda_
     if args.format is not None:
         spec["format"] = args.format
+    return _parse_fading(spec)
+
+
+def _build_scenario(params, nt, nr, a, fit_kind, modulation, grid):
+    """The one place an :class:`~gfaber.aber.AberScenario` is built.
+
+    Flags, ``--config`` and every preset curve come through here with
+    parsed fading ``params`` and SNR ``grid``; ``modulation`` is a scheme
+    string or a ``{"scheme", "order"}`` mapping.
+    """
     try:
-        return fading_mod.parse_fading_json(spec)
+        mimo = fading_mod.MimoConfig(nt=nt, nr=nr)
     except ValueError as exc:
-        raise UsageError(f"fading: {exc}") from None
+        raise UsageError(f"mimo: {exc}") from None
+    try:
+        if isinstance(modulation, str):
+            mod_spec = modulation_mod.parse_modulation(modulation)
+        else:
+            mod_spec = modulation_mod.ModulationSpec(
+                scheme=modulation["scheme"], order=modulation.get("order")
+            )
+    except (TypeError, KeyError, ValueError) as exc:
+        raise UsageError(f"modulation: {exc}") from None
+    return aber_mod.AberScenario(
+        fading=params,
+        mimo=mimo,
+        noise=_build_fit(a, fit_kind),
+        modulation=mod_spec,
+        snr_grid=grid,
+    )
 
 
 def _scenarios_from_args(args):
@@ -219,30 +248,26 @@ def _scenarios_from_args(args):
             raise UsageError("--config and --model are mutually exclusive")
         return _scenarios_from_config(args.config)
     params = _fading_from_flags(args)
-    try:
-        mimo = fading_mod.MimoConfig(nt=args.nt, nr=args.nr)
-        mod_spec = modulation_mod.parse_modulation(args.mod)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    fit = _build_fit(args.a, args.fit)
-    grid = _parse_snr(args.snr)
-    try:
-        scenario = aber_mod.AberScenario(
-            fading=params,
-            mimo=mimo,
-            noise=fit,
-            modulation=mod_spec,
-            snr_grid=grid,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = _build_scenario(
+        params, args.nt, args.nr, args.a, args.fit, args.mod,
+        _parse_snr(args.snr),
+    )
     return [("aber_closed", scenario)], None
+
+
+def _json_object(name, value):
+    """``value`` (the config or its ``name`` section) if it is an object."""
+    if not isinstance(value, dict):
+        raise UsageError(
+            f"{name}: expected a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def _scenarios_from_config(path):
     try:
         with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = _json_object("config", json.load(handle))
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -250,45 +275,22 @@ def _scenarios_from_config(path):
     for key in ("fading", "noise", "modulation", "snr_db"):
         if key not in config:
             raise UsageError(f"config is missing the {key!r} field")
-    try:
-        params = fading_mod.parse_fading_json(config["fading"])
-    except ValueError as exc:
-        raise UsageError(f"fading: {exc}") from None
-    mimo_cfg = config.get("mimo", {})
-    try:
-        mimo = fading_mod.MimoConfig(
-            nt=int(mimo_cfg.get("nt", 1)), nr=int(mimo_cfg.get("nr", 1))
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"mimo: {exc}") from None
-    noise_cfg = config["noise"]
+    params = _parse_fading(_json_object("fading", config["fading"]))
+    mimo = _json_object("mimo", config.get("mimo", {}))
+    noise_cfg = _json_object("noise", config["noise"])
     if "a" not in noise_cfg:
         raise UsageError("noise config requires the 'a' field")
-    fit = _build_fit(float(noise_cfg["a"]), noise_cfg.get("fit", "table"))
-    mod_text = config["modulation"]
-    try:
-        if isinstance(mod_text, str):
-            mod_spec = modulation_mod.parse_modulation(mod_text)
-        else:
-            mod_spec = modulation_mod.ModulationSpec(
-                scheme=mod_text["scheme"], order=mod_text.get("order")
-            )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise UsageError(f"modulation: {exc}") from None
-    snr_cfg = config["snr_db"]
+    snr_cfg = _json_object("snr_db", config["snr_db"])
     try:
         grid = _parse_snr(
             f"{snr_cfg['start']}:{snr_cfg['step']}:{snr_cfg['stop']}"
         )
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise UsageError(f"snr_db: missing field {exc}") from None
-    try:
-        scenario = aber_mod.AberScenario(
-            fading=params, mimo=mimo, noise=fit, modulation=mod_spec,
-            snr_grid=grid,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = _build_scenario(
+        params, mimo.get("nt", 1), mimo.get("nr", 1), noise_cfg["a"],
+        noise_cfg.get("fit", "table"), config["modulation"], grid,
+    )
     return [("aber_closed", scenario)], None
 
 
@@ -299,32 +301,18 @@ def _scenarios_from_preset(name):
         )
     preset = PRESETS[name]
     nt, nr = preset["mimo"]
-    mimo = fading_mod.MimoConfig(nt=nt, nr=nr)
     start, step, stop = preset["snr"]
     grid = _parse_snr(f"{start}:{step}:{stop}")
     scenarios = []
     for label, fading_spec, mod_text, a in preset["curves"]:
-        spec = dict(fading_spec)
-        model = spec.pop("model")
-        if model == "eta-mu-unified":
+        if fading_spec["model"] == "eta-mu-unified":
             params = fading_mod.special_case_params(
-                "eta-mu", eta=spec["eta"], mu=spec["mu"]
+                "eta-mu", eta=fading_spec["eta"], mu=fading_spec["mu"]
             )
         else:
-            params = fading_mod.parse_fading_json({"model": model, **spec})
-        fit = _build_fit(a, "table")
-        scenarios.append(
-            (
-                label,
-                aber_mod.AberScenario(
-                    fading=params,
-                    mimo=mimo,
-                    noise=fit,
-                    modulation=modulation_mod.parse_modulation(mod_text),
-                    snr_grid=grid,
-                ),
-            )
-        )
+            params = _parse_fading(fading_spec)
+        scenario = _build_scenario(params, nt, nr, a, "table", mod_text, grid)
+        scenarios.append((label, scenario))
     return scenarios, preset["note"]
 
 
@@ -434,21 +422,7 @@ def _cmd_verify(args):
     all_exact_devs = []
     lines = []
     for label, scenario in scenarios:
-        closed_scenario = scenario
-        if args.p_scale != 1.0:
-            # Fault-injection hook: perturb the fit weights seen by the
-            # closed form only, so the oracles expose the corruption.
-            fit = scenario.noise
-            closed_scenario = replace(
-                scenario,
-                noise=noise_mod.QApprox(
-                    a=fit.a,
-                    p=tuple(args.p_scale * p for p in fit.p),
-                    q=fit.q,
-                    source=fit.source,
-                ),
-            )
-        closed = aber_mod.sweep(closed_scenario, aber_mod.METHOD_CLOSED)
+        closed = aber_mod.sweep(scenario, aber_mod.METHOD_CLOSED)
         approx = aber_mod.sweep(
             scenario, aber_mod.METHOD_ORACLE_APPROX, rel_tol=args.rel_tol
         )
@@ -474,6 +448,12 @@ def _cmd_verify(args):
                 devs.append(abs(c_val - a_val) / abs(a_val))
             if e_val:
                 exact_devs.append(abs(c_val - e_val) / abs(e_val))
+        if not (devs and exact_devs):
+            sys.stderr.write(
+                f"numerical failure: curve {label}: no nonzero oracle "
+                "value to compare against\n"
+            )
+            return 3
         all_approx_devs += devs
         all_exact_devs += exact_devs
         lines.append(
@@ -511,8 +491,6 @@ def _cmd_qfit(args):
 
     try:
         fit = nlfit.fit_q_approx(args.a, grid=grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     except FitConvergenceError as exc:
         payload = {"error": str(exc)}
         if exc.best_fit is not None:
@@ -532,10 +510,7 @@ def _cmd_pdf(args):
         params = replace(
             params, mean_power=10.0 ** (args.mean_power_db / 10.0)
         )
-    try:
-        mimo = fading_mod.MimoConfig(nt=args.nt, nr=args.nr)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mimo = fading_mod.MimoConfig(nt=args.nt, nr=args.nr)
     grid = _parse_values("--gamma", args.gamma)
     if any(g < 0.0 for g in grid):
         raise UsageError("--gamma values must be >= 0")
@@ -648,12 +623,6 @@ def build_parser():
         default=1e-10,
         help="quadrature relative tolerance",
     )
-    cmd.add_argument(
-        "--p-scale",
-        type=float,
-        default=1.0,
-        help="testing hook: scale the fit weights to inject a fault",
-    )
     cmd.set_defaults(handler=_cmd_verify)
 
     cmd = commands.add_parser(
@@ -699,10 +668,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except GfaberError as exc:

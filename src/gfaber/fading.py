@@ -32,6 +32,7 @@ All types are immutable and all functions pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import exp, inf, log, log1p
 
@@ -66,10 +67,17 @@ class MimoConfig:
     nr: int = 1
 
     def __post_init__(self):
-        if int(self.nt) != self.nt or self.nt < 1:
-            raise ValueError(f"nt must be an integer >= 1, got {self.nt}")
-        if int(self.nr) != self.nr or self.nr < 1:
-            raise ValueError(f"nr must be an integer >= 1, got {self.nr}")
+        for name in ("nt", "nr"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not integral or value < 1:
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+            # Integral floats are stored as int, so 2.0 echoes as 2.
+            object.__setattr__(self, name, int(value))
 
     @property
     def branches(self):

@@ -55,13 +55,13 @@ def test_closed_equals_reduced_on_boundaries():
     compact = fading.compact_eta_mu(
         fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0), MIMO2)
     full = aber.aber_eta_mu_closed(compact, FIT2, 1.0, 2.0)
-    red = aber.aber_eta_mu_reduced(compact, FIT2, 1.0, 2.0)
+    red = aber.aber_eta_mu_closed(compact, FIT2, 1.0, 2.0, reduced=True)
     assert math.isclose(full, red, rel_tol=1e-12)
     compact = fading.compact_kms(
         fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
                                      mean_power=5.0), MIMO2)
     full = aber.aber_kms_closed(compact, FIT2, 1.0, 2.0)
-    red = aber.aber_kms_reduced(compact, FIT2, 1.0, 2.0)
+    red = aber.aber_kms_closed(compact, FIT2, 1.0, 2.0, reduced=True)
     assert math.isclose(full, red, rel_tol=1e-12)
 
 

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from gfaber import cli, noise
+from gfaber import aber, cli, noise
 
 
 ETA_FLAGS = ["--model", "eta-mu", "--eta", "0.5", "--mu", "1",
@@ -271,6 +271,38 @@ def test_config_conflicts_with_model(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+_GOOD_CONFIG = {
+    "fading": {"model": "eta-mu", "eta": 0.5, "mu": 1.0},
+    "noise": {"a": 2.0},
+    "modulation": "bpsk",
+    "snr_db": {"start": 0, "step": 5, "stop": 20},
+}
+
+
+@pytest.mark.parametrize(
+    "config, section",
+    [
+        ("fading noise modulation snr_db", "config"),
+        (dict(_GOOD_CONFIG, noise=["a"]), "noise"),
+        (dict(_GOOD_CONFIG, noise={"a": None}), "noise.a"),
+        (dict(_GOOD_CONFIG, mimo=[2, 2]), "mimo"),
+        (dict(_GOOD_CONFIG, mimo={"nt": 2.5}), "mimo"),
+        (dict(_GOOD_CONFIG, fading={"model": "eta-mu", "eta": None,
+                                    "mu": 1.0}), "fading"),
+    ],
+    ids=["top-level-string", "noise-list", "noise-a-null", "mimo-list",
+         "mimo-fractional-nt", "fading-eta-null"],
+)
+def test_config_section_of_wrong_type_exits_two(capsys, tmp_path, config,
+                                                section):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["aber", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {section}: ")
+
+
 # --------------------------------------------------------------------------
 # verify
 
@@ -287,17 +319,41 @@ def test_verify_passes_clean_scenario(capsys):
     assert lines[-1].endswith("-> PASS")
 
 
-def test_verify_detects_injected_fault(capsys):
+def test_verify_detects_injected_fault(capsys, monkeypatch):
+    # Corrupt the closed form only; the oracles must expose it.
+    closed = aber.aber_closed
+    monkeypatch.setattr(
+        aber, "aber_closed", lambda *args, **kw: 1.1 * closed(*args, **kw)
+    )
     code, out, _ = run_cli(
-        capsys,
-        ["verify"] + ETA_FLAGS + ["--snr", "0:10:20", "--p-scale", "1.1"],
+        capsys, ["verify"] + ETA_FLAGS + ["--snr", "0:10:20"]
     )
     assert code == 1
     assert out.strip().endswith("-> FAIL")
-    # A 10% weight scale must surface as roughly a 10% deviation.
+    # A 10% scale of the closed form must surface as a ~10% deviation.
     overall = out.strip().split("\n")[-1]
     dev = float(overall.split("max_rel_dev_vs_approx_oracle=")[1].split()[0])
     assert 0.05 < dev < 0.2
+
+
+def test_verify_rejects_removed_fault_injection_flag(capsys):
+    code, out, _ = run_cli(
+        capsys, ["verify"] + ETA_FLAGS + ["--p-scale", "1.1"]
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_curve_without_nonzero_oracle_value_exits_three(capsys):
+    # Every value underflows to 0, so no relative deviation exists.
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--model", "eta-mu", "--eta", "0.5", "--mu", "4",
+         "--nt", "4", "--nr", "4", "--snr", "200:10:220"],
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: curve aber_closed: ")
 
 
 def test_verify_gap_exits_three(capsys):

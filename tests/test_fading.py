@@ -272,6 +272,15 @@ def test_param_validation():
         fading.MimoConfig(nt=0, nr=1)
 
 
+def test_mimo_config_takes_integral_counts_only():
+    mimo = fading.MimoConfig(nt=2.0, nr=3)
+    assert (mimo.nt, mimo.nr) == (2, 3)
+    assert isinstance(mimo.nt, int)  # so a JSON echo reads 2, not 2.0
+    for bad in (2.5, "2", True, None, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fading.MimoConfig(nt=bad, nr=1)
+
+
 def test_param_validation_rejects_non_finite_values():
     cases = (
         (lambda v: fading.EtaMuParams(shape=v, mu=1.0), "eta"),
