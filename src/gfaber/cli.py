@@ -7,11 +7,12 @@ Subcommands
 ``qfit``    refit the 4-exponential noise model / print the built-in rows
 ``pdf``     evaluate a fading density (CSV), optionally with its norm
 
-Scenarios come from flags, a JSON config file (--config), or a named
-preset (--preset fig1..fig6); all three go through one scenario builder,
-so equal inputs give equal scenarios.  Presets are representative scenario
-families — their exact parameter values are choices documented in the
-JSON echo, not authoritative reference data.
+``aber`` and ``verify`` take scenarios from flags, a JSON config file
+(--config), or a named preset (--preset fig1..fig6); all three go through
+one scenario builder, so equal inputs give equal scenarios.  ``pdf``
+takes flags only.  Presets are representative scenario families — their
+exact parameter values are choices documented in the JSON echo, not
+authoritative reference data.
 
 SNR grids are given as ``start:step:stop`` in dB and converted to linear
 power as ``10^(dB/10)``.  CSV output is byte-deterministic: fixed
@@ -19,7 +20,8 @@ power as ``10^(dB/10)``.  CSV output is byte-deterministic: fixed
 header row naming the columns.
 
 Exit codes: 0 success, 1 verification tolerance breach, 2 usage or
-configuration error, 3 numerical failure.
+configuration error, 3 numerical failure (including a floating-point
+overflow).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from gfaber import fading as fading_mod
 from gfaber import modulation as modulation_mod
 from gfaber import noise as noise_mod
 from gfaber import quadrature
-from gfaber.errors import FitConvergenceError, GfaberError, NotTabulatedError
+from gfaber.errors import GfaberError, NotTabulatedError
 
 VERIFY_TOL = 1e-6
 _FMT = "%.8e"
@@ -128,23 +130,44 @@ PRESETS = {
 
 
 def _parse_snr(text):
+    """The grid of a ``--snr start:step:stop`` flag."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(
             f"--snr expects start:step:stop in dB, got {text!r}"
         )
-    try:
-        start, step, stop = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(
-            f"--snr expects numeric start:step:stop, got {text!r}"
-        ) from None
-    if not all(math.isfinite(v) for v in (start, step, stop)):
-        raise UsageError(f"--snr values must be finite, got {text!r}")
+    return _snr_grid("--snr", *parts)
+
+
+def _snr_grid(source, start, step, stop):
+    """The dB grid ``start, start + step, ...`` up to ``stop``.
+
+    Flags, a config's ``snr_db`` section and presets all build their grid
+    here; ``source`` names the input in error messages.  The bounds are
+    numbers or numeric strings, never booleans.
+    """
+    bounds = []
+    for key, value in (("start", start), ("step", step), ("stop", stop)):
+        try:
+            bound = float(value)
+        except (TypeError, ValueError):
+            bound = None
+        if bound is None or isinstance(value, bool):
+            raise UsageError(
+                f"{source}: {key} must be a number, got {value!r}"
+            )
+        if not math.isfinite(bound):
+            raise UsageError(
+                f"{source}: {key} must be finite, got {value!r}"
+            )
+        bounds.append(bound)
+    start, step, stop = bounds
     if step <= 0.0:
-        raise UsageError(f"--snr step must be positive, got {step}")
+        raise UsageError(f"{source}: step must be positive, got {step}")
     if stop < start:
-        raise UsageError(f"--snr stop must be >= start, got {text!r}")
+        raise UsageError(
+            f"{source}: stop must be >= start, got start={start}, stop={stop}"
+        )
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
 
@@ -185,7 +208,7 @@ def _parse_fading(spec):
 
 def _fading_from_flags(args):
     if args.model is None:
-        raise UsageError("--model is required (or use --config / --preset)")
+        raise UsageError("--model is required")
     spec = {"model": args.model}
     for key in ("eta", "mu", "kappa", "m", "q", "K"):
         value = getattr(args, "K_factor" if key == "K" else key)
@@ -282,11 +305,10 @@ def _scenarios_from_config(path):
         raise UsageError("noise config requires the 'a' field")
     snr_cfg = _json_object("snr_db", config["snr_db"])
     try:
-        grid = _parse_snr(
-            f"{snr_cfg['start']}:{snr_cfg['step']}:{snr_cfg['stop']}"
-        )
+        bounds = [snr_cfg[key] for key in ("start", "step", "stop")]
     except KeyError as exc:
         raise UsageError(f"snr_db: missing field {exc}") from None
+    grid = _snr_grid("snr_db", *bounds)
     scenario = _build_scenario(
         params, mimo.get("nt", 1), mimo.get("nr", 1), noise_cfg["a"],
         noise_cfg.get("fit", "table"), config["modulation"], grid,
@@ -301,8 +323,7 @@ def _scenarios_from_preset(name):
         )
     preset = PRESETS[name]
     nt, nr = preset["mimo"]
-    start, step, stop = preset["snr"]
-    grid = _parse_snr(f"{start}:{step}:{stop}")
+    grid = _snr_grid(f"preset {name}", *preset["snr"])
     scenarios = []
     for label, fading_spec, mod_text, a in preset["curves"]:
         if fading_spec["model"] == "eta-mu-unified":
@@ -489,15 +510,7 @@ def _cmd_qfit(args):
     grid = _parse_values("--grid", args.grid) if args.grid else None
     from gfaber import nlfit  # numpy is loaded only for a refit
 
-    try:
-        fit = nlfit.fit_q_approx(args.a, grid=grid)
-    except FitConvergenceError as exc:
-        payload = {"error": str(exc)}
-        if exc.best_fit is not None:
-            payload["best_fit"] = exc.best_fit.to_dict()
-            payload["max_abs_dev"] = exc.max_abs_dev
-        sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 3
+    fit = nlfit.fit_q_approx(args.a, grid=grid)
     row = fit.to_dict()
     row["max_abs_dev"] = noise_mod.max_abs_deviation(fit, grid)
     _emit(json.dumps(row, indent=2, sort_keys=True) + "\n", args.out)
@@ -537,8 +550,8 @@ def _cmd_pdf(args):
 
 
 def _add_scenario_flags(sub, with_noise_mod=True):
-    sub.add_argument("--config", help="JSON scenario config file")
     if with_noise_mod:
+        sub.add_argument("--config", help="JSON scenario config file")
         sub.add_argument(
             "--preset",
             help="named scenario family (fig1..fig6; representative "
@@ -671,7 +684,7 @@ def main(argv=None):
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except GfaberError as exc:
+    except (GfaberError, OverflowError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 

@@ -56,20 +56,7 @@ class QuadratureError(ConvergenceError):
 
 
 class FitConvergenceError(ConvergenceError):
-    """A curve fit failed to produce a usable minimizer.
-
-    Attributes
-    ----------
-    best_fit : object or None
-        Best candidate found across restarts, if any.
-    max_abs_dev : float
-        Maximum absolute deviation of ``best_fit`` on the fitting grid.
-    """
-
-    def __init__(self, message, best_fit=None, max_abs_dev=float("inf")):
-        self.best_fit = best_fit
-        self.max_abs_dev = max_abs_dev
-        super().__init__(message)
+    """A curve fit failed to produce a usable minimizer."""
 
 
 class NonFiniteResidualError(GfaberError, ArithmeticError):

@@ -1,10 +1,11 @@
 """Levenberg-Marquardt nonlinear least squares and the Q-model refitter.
 
 :func:`levenberg_marquardt` is a classic damped Gauss-Newton minimizer of
-``0.5 * ||r(theta)||^2`` with forward finite-difference Jacobians.  It
-exists so that the 4-exponential noise model can be refit for shape
-parameters without embedded constants (:func:`fit_q_approx`), reproducing
-the procedure behind the built-in rows.
+``0.5 * ||r(theta)||^2`` with forward finite-difference Jacobians.  Its
+iteration cap, tolerances and damping schedule are the module constants
+below; no caller changes them.  It exists so that the 4-exponential noise
+model can be refit for shape parameters without embedded constants
+(:func:`fit_q_approx`), reproducing the procedure behind the built-in rows.
 
 Exponential-sum fitting is multimodal, so the refitter is multi-start:
 the nearest embedded row (origin-rescaled) seeds the first run and seven
@@ -17,45 +18,27 @@ the whole procedure is deterministic (fixed jitter seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from gfaber import noise
 from gfaber.errors import FitConvergenceError, NonFiniteResidualError
-from gfaber.noise import default_fit_grid, max_abs_deviation
+# max_abs_deviation is re-exported: the refit's callers score fits with it.
+from gfaber.noise import default_fit_grid, max_abs_deviation  # noqa: F401
 
 STATUS_GRADIENT = "gradient"
 STATUS_STEP = "step"
 STATUS_MAX_ITER = "max-iter"
 
+MAX_ITER = 200
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+DAMPING_INIT = 1e-3
+DAMPING_SCALE = 10.0
+N_RESTARTS = 8
+
 _JITTER_SEED = 20240917
 _DAMPING_MAX = 1e14
-
-
-@dataclass
-class LmProblem:
-    """A nonlinear least-squares problem for :func:`levenberg_marquardt`.
-
-    ``residual`` maps a parameter vector (1-D array of length n) to a
-    residual vector of length m >= n.
-    """
-
-    residual: Callable[[np.ndarray], np.ndarray]
-    x0: np.ndarray
-    max_iter: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    damping_init: float = 1e-3
-    damping_scale: float = 10.0
-
-    def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        for name in ("grad_tol", "step_tol", "damping_init", "damping_scale"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,38 +70,39 @@ def _jacobian_fd(fun, params, r0):
     return jac
 
 
-def levenberg_marquardt(problem):
-    """Minimize ``0.5 * ||r(theta)||^2`` from ``problem.x0``.
+def levenberg_marquardt(residual, x0):
+    """Minimize ``0.5 * ||residual(theta)||^2`` starting from ``x0``.
 
-    The damping factor starts at ``damping_init``, is multiplied by
-    ``damping_scale`` on every rejected step and divided by it on every
-    accepted one (Marquardt diagonal scaling keeps the step well
-    conditioned across parameter magnitudes).  Terminates when the
-    gradient's max norm drops below ``grad_tol`` (status ``gradient``),
-    when the relative step drops below ``step_tol`` or damping saturates
-    (status ``step``), or after ``max_iter`` iterations (``max-iter``).
-    Accepted steps never increase the objective.
+    ``residual`` maps a parameter vector (1-D array of length n) to a
+    residual vector of length m >= n.  The damping factor starts at
+    :data:`DAMPING_INIT`, is multiplied by :data:`DAMPING_SCALE` on every
+    rejected step and divided by it on every accepted one (Marquardt
+    diagonal scaling keeps the step well conditioned across parameter
+    magnitudes).  Terminates when the gradient's max norm drops below
+    :data:`GRAD_TOL` (status ``gradient``), when the relative step drops
+    below :data:`STEP_TOL` or damping saturates (status ``step``), or
+    after :data:`MAX_ITER` iterations (``max-iter``).  Accepted steps
+    never increase the objective.
 
     Raises :class:`~gfaber.errors.NonFiniteResidualError` if the residual
     becomes non-finite at any evaluated point, including the initial one.
     """
-    fun = problem.residual
-    params = problem.x0.astype(float).copy()
-    r = _residual_checked(fun, params)
+    params = np.array(x0, dtype=float)
+    r = _residual_checked(residual, params)
     if r.size < params.size:
         raise ValueError(
             f"residual dimension {r.size} is smaller than parameter "
             f"dimension {params.size}"
         )
     ssr = float(r @ r)
-    lam = problem.damping_init
+    lam = DAMPING_INIT
     status = STATUS_MAX_ITER
     iterations = 0
-    for _ in range(problem.max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
-        jac = _jacobian_fd(fun, params, r)
+        jac = _jacobian_fd(residual, params, r)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < problem.grad_tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             status = STATUS_GRADIENT
             break
         jtj = jac.T @ jac
@@ -132,21 +116,21 @@ def levenberg_marquardt(problem):
                     jtj + lam * np.diag(diag), -grad, rcond=None
                 )[0]
             trial = params + delta
-            r_trial = _residual_checked(fun, trial)
+            r_trial = _residual_checked(residual, trial)
             ssr_trial = float(r_trial @ r_trial)
             if ssr_trial < ssr:
                 params = trial
                 r = r_trial
                 ssr = ssr_trial
-                lam = max(lam / problem.damping_scale, 1e-14)
+                lam = max(lam / DAMPING_SCALE, 1e-14)
                 accepted = True
                 break
-            lam *= problem.damping_scale
+            lam *= DAMPING_SCALE
         if not accepted:
             status = STATUS_STEP
             break
         rel_step = np.linalg.norm(delta) / max(np.linalg.norm(params), 1.0)
-        if rel_step < problem.step_tol:
+        if rel_step < STEP_TOL:
             status = STATUS_STEP
             break
     return LmResult(params=params, ssr=ssr, iterations=iterations, status=status)
@@ -158,7 +142,7 @@ def _nearest_builtin(a):
     return noise.BUILTIN_FITS[best]
 
 
-def fit_q_approx(a, grid=None, n_restarts=8):
+def fit_q_approx(a, grid=None):
     """Refit the 4-exponential model for an arbitrary supported shape.
 
     Minimizes ``sum_x (sum_i p_i e^(-q_i x) - Q_a(sqrt(x)))^2`` over the
@@ -168,9 +152,10 @@ def fit_q_approx(a, grid=None, n_restarts=8):
     distinct finite non-negative points.
 
     Returns a canonicalized :class:`~gfaber.noise.QApprox` (pairs sorted
-    by ascending q, source ``"refit"``).  Raises
+    by ascending q, source ``"refit"``) from the best of
+    :data:`N_RESTARTS` runs.  Raises
     :class:`~gfaber.errors.FitConvergenceError` if no restart produces a
-    usable minimizer; the error carries the best candidate seen, if any.
+    finite minimizer.
     """
     model = noise.make_noise_model(a)
     if grid is None:
@@ -199,7 +184,7 @@ def fit_q_approx(a, grid=None, n_restarts=8):
 
     rng = np.random.default_rng(_JITTER_SEED)
     candidates = []
-    for restart in range(n_restarts):
+    for restart in range(N_RESTARTS):
         p0, q0 = p_seed, q_seed
         if restart > 0:
             factors = np.clip(np.exp(rng.normal(0.0, 0.25, size=8)), 0.5, 2.0)
@@ -207,9 +192,7 @@ def fit_q_approx(a, grid=None, n_restarts=8):
             q0 = q_seed * factors[4:]
         theta0 = np.concatenate([p0, np.log(q0)])
         try:
-            result = levenberg_marquardt(
-                LmProblem(residual=residual, x0=theta0)
-            )
+            result = levenberg_marquardt(residual, theta0)
         except NonFiniteResidualError:
             continue
         if not np.isfinite(result.ssr):
@@ -224,12 +207,5 @@ def fit_q_approx(a, grid=None, n_restarts=8):
         raise FitConvergenceError(
             f"no restart converged while refitting a={a}"
         )
-    ssr, q_best, p_best = min(candidates)
-    fit = noise.QApprox(a=float(a), p=p_best, q=q_best, source=noise.SOURCE_REFIT)
-    if not np.isfinite(ssr):
-        raise FitConvergenceError(
-            f"refit for a={a} produced a non-finite objective",
-            best_fit=fit,
-            max_abs_dev=max_abs_deviation(fit, grid),
-        )
-    return fit
+    _, q_best, p_best = min(candidates)
+    return noise.QApprox(a=float(a), p=p_best, q=q_best, source=noise.SOURCE_REFIT)

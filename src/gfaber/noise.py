@@ -30,7 +30,7 @@ All types here are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from gfaber import specfun
 from gfaber.errors import NotTabulatedError
@@ -57,22 +57,26 @@ SOURCE_REFIT = "refit"
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Shape parameter ``a`` with its cached scale constant ``Lambda0``.
+    """Shape parameter ``a`` with its derived scale constant ``Lambda0``.
 
-    Build through :func:`make_noise_model`, which validates the supported
-    range and derives ``lambda0``.
+    ``a`` must lie in [0.25, 4]: the limits outside that range (impulsive
+    ``a -> 0``, uniform ``a -> inf``) are ill-conditioned or degenerate
+    and are not supported.
     """
 
     a: float
-    lambda0: float
+    lambda0: float = field(init=False)
 
     def __post_init__(self):
-        if not A_MIN <= self.a <= A_MAX:
+        a = self.a
+        if not A_MIN <= a <= A_MAX:
             raise ValueError(
-                f"noise shape a must lie in [{A_MIN}, {A_MAX}], got {self.a}"
+                f"noise shape a must lie in [{A_MIN}, {A_MAX}], got {a}"
             )
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
+        lambda0 = math.sqrt(
+            math.exp(specfun.ln_gamma(3.0 / a) - specfun.ln_gamma(1.0 / a))
+        )
+        object.__setattr__(self, "lambda0", lambda0)
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,8 @@ class QApprox:
 
 
 def make_noise_model(a):
-    """Build a :class:`NoiseModel` for shape ``a`` in [0.25, 4].
-
-    The limits outside that range (impulsive ``a -> 0``, uniform
-    ``a -> inf``) are ill-conditioned or degenerate and are not supported.
-    """
-    a = float(a)
-    if not A_MIN <= a <= A_MAX:
-        raise ValueError(
-            f"noise shape a must lie in [{A_MIN}, {A_MAX}], got {a}"
-        )
-    lambda0 = math.sqrt(
-        math.exp(specfun.ln_gamma(3.0 / a) - specfun.ln_gamma(1.0 / a))
-    )
-    return NoiseModel(a=a, lambda0=lambda0)
+    """Build a :class:`NoiseModel` for shape ``a`` in [0.25, 4]."""
+    return NoiseModel(float(a))
 
 
 def q_exact(model, x, normalized=False):

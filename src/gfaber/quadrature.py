@@ -17,8 +17,6 @@ transform handles every parameter regime in the test matrix, including
 the integrable endpoint singularity of densities with aggregate shape
 below one (Gauss-Kronrod nodes never touch the endpoints, and the
 subdivision concentrates there on its own).
-
-Pure functions; independent integrations may run concurrently.
 """
 
 from __future__ import annotations
@@ -78,14 +76,14 @@ def _gk15(f, a, b):
     return res_k * half, abs((res_k - res_g) * half)
 
 
-def integrate_semi_infinite(f, rel_tol, max_intervals=MAX_INTERVALS):
+def integrate_semi_infinite(f, rel_tol):
     """Integrate ``f`` over [0, inf) to a relative tolerance.
 
     ``f`` must be integrable and decaying; ``rel_tol`` must be at least
     1e-12.  Subdivision stops once the accumulated error estimate falls
     below ``rel_tol`` times the running total (or below an absolute floor
     that keeps identically-tiny integrals from looping).  Exceeding
-    ``max_intervals`` subintervals raises
+    :data:`MAX_INTERVALS` subintervals raises
     :class:`~gfaber.errors.QuadratureError` carrying the partial result.
     """
     if rel_tol < 1e-12:
@@ -101,7 +99,7 @@ def integrate_semi_infinite(f, rel_tol, max_intervals=MAX_INTERVALS):
     total_err = err
     count = 1
     while total_err > rel_tol * abs(total) and total_err > 1e-305:
-        if count >= max_intervals:
+        if count >= MAX_INTERVALS:
             raise QuadratureError(total, total_err, count)
         neg_err, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)

@@ -2,9 +2,8 @@
 
 The upper incomplete gamma function, the modified Bessel function of the
 first kind and Kummer's confluent hypergeometric function (both on a log
-scale), and the Gauss hypergeometric function on [0, 1).  The public
-functions validate their domains; the private kernels behind them assume
-well-formed inputs.
+scale), and the Gauss hypergeometric function on [0, 1).  Each function
+validates its domain and then evaluates in place.
 
 All series share one policy: terms are accumulated until the current term
 falls below ``_SERIES_TOL`` of the running sum, with a hard cap of
@@ -47,89 +46,17 @@ def ln_gamma(x):
 
 
 def upper_incomplete_gamma(s, x):
-    """Upper incomplete gamma function ``Gamma(s, x)``.
+    """Upper incomplete gamma function ``Gamma(s, x)`` for s > 0, x >= 0.
 
-    Series evaluation for ``x < s + 1``, continued fraction otherwise;
-    relative error <= 1e-10 for ``s`` in [0.1, 50].
+    Lower series for ``x < s + 1``, Lentz's continued fraction otherwise;
+    relative error <= 1e-10 for ``s`` in [0.1, 50].  The prefactor
+    ``x^s e^-x`` is formed in log space so very large ``x`` underflows
+    cleanly to zero instead of tripping intermediate overflow.
     """
     if s <= 0.0:
         raise ValueError(f"upper_incomplete_gamma requires s > 0, got {s}")
     if x < 0.0:
         raise ValueError(f"upper_incomplete_gamma requires x >= 0, got {x}")
-    return _upper_gamma(s, x)
-
-
-def log_bessel_i(v, x):
-    """``ln I_v(x)`` — log-scale modified Bessel function, first kind.
-
-    The fading PDFs need the log value directly to avoid overflow inside
-    their own log-space assembly.
-    """
-    if v < -0.5:
-        raise ValueError(f"log_bessel_i requires order v >= -0.5, got {v}")
-    if x < 0.0:
-        raise ValueError(f"log_bessel_i requires x >= 0, got {x}")
-    return _log_bessel_i(v, x)
-
-
-def log_kummer_1f1(a, b, z):
-    """``ln 1F1(a; b; z)`` for ``a > 0``, ``b > 0``, ``z >= 0``.
-
-    Log-scale variant for positive parameters (every series term is
-    positive); used by the shadowed-fading PDF where the linear value
-    overflows long before the densities stop mattering.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(
-            f"log_kummer_1f1 requires a > 0 and b > 0, got a={a}, b={b}"
-        )
-    if z < 0.0:
-        raise ValueError(f"log_kummer_1f1 requires z >= 0, got {z}")
-    return _log_hyp1f1(a, b, z)
-
-
-def gauss_2f1(a, b, c, z):
-    """Gauss hypergeometric function ``2F1(a, b; c; z)`` on ``0 <= z < 1``.
-
-    Direct series for ``z <= 0.5``; linear transformation to argument
-    ``1 - z`` for ``z > 0.5``, falling back to the compensated direct
-    series when ``c - a - b`` is within 0.05 of an integer.  Relative
-    error <= 1e-10 on the supported domain.
-    """
-    if c <= 0.0:
-        raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
-    return _hyp2f1(a, b, c, z)
-
-
-# --------------------------------------------------------------------------
-# kernels
-
-
-def _lgamma_signed(x):
-    """Return ``(log |Gamma(x)|, sign(Gamma(x)))`` for real ``x``.
-
-    Poles (``x`` a non-positive integer) report ``(inf, 1.0)``, which makes
-    reciprocal-gamma factors vanish naturally when exponentiated.
-    """
-    if x > 0.0:
-        return lgamma(x), 1.0
-    if x == math.floor(x):
-        return inf, 1.0
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x), and Gamma(1-x) > 0
-    # for x < 0, so the sign of Gamma(x) is the sign of sin(pi x).
-    s = sin(pi * x)
-    return lgamma(x), (1.0 if s > 0.0 else -1.0)
-
-
-def _upper_gamma(s, x):
-    """Upper incomplete gamma function ``Gamma(s, x)`` for s > 0, x >= 0.
-
-    Lower series for ``x < s + 1``, Lentz's continued fraction otherwise;
-    the prefactor ``x^s e^-x`` is formed in log space so very large ``x``
-    underflows cleanly to zero instead of tripping intermediate overflow.
-    """
     if x == 0.0:
         lg = lgamma(s)
         if lg > 709.0:
@@ -181,15 +108,22 @@ def _upper_gamma(s, x):
     return exp(log_val)
 
 
-def _log_bessel_i(v, x):
-    """``ln I_v(x)`` for order ``v >= -0.5`` and argument ``x >= 0``.
+def log_bessel_i(v, x):
+    """``ln I_v(x)`` — log-scale modified Bessel function, first kind.
 
-    Ascending power series with periodic rescaling; for large ``x`` (where
-    the series would exceed the term cap) the standard large-argument
-    asymptotic expansion ``I_v(x) ~ e^x / sqrt(2 pi x) * sum`` takes over.
-    Limits at ``x == 0``: 0.0 for v == 0, -inf for v > 0 (I_v(0) = 0) and
-    +inf for v < 0 (the function diverges like ``(x/2)^v``).
+    Order ``v >= -0.5``, argument ``x >= 0``.  The fading PDFs need the
+    log value directly to avoid overflow inside their own log-space
+    assembly.  Ascending power series with periodic rescaling; for large
+    ``x`` (where the series would exceed the term cap) the standard
+    large-argument asymptotic expansion ``I_v(x) ~ e^x / sqrt(2 pi x) *
+    sum`` takes over.  Limits at ``x == 0``: 0.0 for v == 0, -inf for
+    v > 0 (I_v(0) = 0) and +inf for v < 0 (the function diverges like
+    ``(x/2)^v``).
     """
+    if v < -0.5:
+        raise ValueError(f"log_bessel_i requires order v >= -0.5, got {v}")
+    if x < 0.0:
+        raise ValueError(f"log_bessel_i requires x >= 0, got {x}")
     if x == 0.0:
         if v == 0.0:
             return 0.0
@@ -228,14 +162,23 @@ def _log_bessel_i(v, x):
     return x - 0.5 * log(2.0 * pi * x) + log(s)
 
 
-def _log_hyp1f1(a, b, z):
+def log_kummer_1f1(a, b, z):
     """``ln 1F1(a; b; z)`` for ``a > 0``, ``b > 0``, ``z >= 0``.
 
-    All series terms are positive, so the log-scaled ascending series is
-    perfectly conditioned; for large ``z`` relative to the parameters the
-    large-argument asymptotic ``1F1 ~ Gamma(b)/Gamma(a) e^z z^(a-b)`` is
-    used with optimal truncation.
+    Log-scale variant for positive parameters; used by the shadowed-fading
+    PDF where the linear value overflows long before the densities stop
+    mattering.  All series terms are positive, so the log-scaled ascending
+    series is perfectly conditioned; for large ``z`` relative to the
+    parameters the large-argument asymptotic
+    ``1F1 ~ Gamma(b)/Gamma(a) e^z z^(a-b)`` is used with optimal
+    truncation.
     """
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(
+            f"log_kummer_1f1 requires a > 0 and b > 0, got a={a}, b={b}"
+        )
+    if z < 0.0:
+        raise ValueError(f"log_kummer_1f1 requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
     if z < _ASYMPTOTIC_CUTOFF or 50.0 * (abs(a) + abs(b) + 1.0) > z:
@@ -270,37 +213,20 @@ def _log_hyp1f1(a, b, z):
     return z + (a - b) * log(z) + lgamma(b) - lgamma(a) + log(s)
 
 
-def _hyp2f1_direct(a, b, c, z):
-    """Gauss series with Kahan compensation; |z| must be < 1."""
-    t = 1.0
-    s = 1.0
-    comp = 0.0
-    small_streak = 0
-    for k in range(_SERIES_CAP):
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        y = t - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-        if abs(t) <= abs(s) * _SERIES_TOL:
-            small_streak += 1
-            if small_streak >= 2 or t == 0.0:
-                return s
-        else:
-            small_streak = 0
-    raise SeriesError("hyp2f1", (a, b, c, z))
-
-
-def _hyp2f1(a, b, c, z):
-    """``2F1(a, b; c; z)`` for ``0 <= z < 1``.
+def gauss_2f1(a, b, c, z):
+    """Gauss hypergeometric function ``2F1(a, b; c; z)`` on ``0 <= z < 1``.
 
     Direct series for ``z <= 0.5``.  For ``z > 0.5`` the linear
     transformation to argument ``1 - z`` converges quickly, except when
-    ``c - a - b`` is close to an integer (its gamma prefactors then sit on
-    or near poles); that case falls back to the compensated direct series,
-    which remains accurate because all our use sites keep ``z`` bounded
-    away from 1.
+    ``c - a - b`` is within 0.05 of an integer (its gamma prefactors then
+    sit on or near poles); that case falls back to the compensated direct
+    series, which remains accurate because all our use sites keep ``z``
+    bounded away from 1.  Relative error <= 1e-10 on the supported domain.
     """
+    if c <= 0.0:
+        raise ValueError(f"gauss_2f1 requires c > 0, got {c}")
+    if not 0.0 <= z < 1.0:
+        raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
     if z == 0.0:
         return 1.0
     if z <= 0.5:
@@ -329,3 +255,44 @@ def _hyp2f1(a, b, c, z):
             c - a, c - b, 1.0 + t, w
         )
     return term1 + term2
+
+
+# --------------------------------------------------------------------------
+# gauss_2f1 helpers
+
+
+def _lgamma_signed(x):
+    """Return ``(log |Gamma(x)|, sign(Gamma(x)))`` for real ``x``.
+
+    Poles (``x`` a non-positive integer) report ``(inf, 1.0)``, which makes
+    reciprocal-gamma factors vanish naturally when exponentiated.
+    """
+    if x > 0.0:
+        return lgamma(x), 1.0
+    if x == math.floor(x):
+        return inf, 1.0
+    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x), and Gamma(1-x) > 0
+    # for x < 0, so the sign of Gamma(x) is the sign of sin(pi x).
+    s = sin(pi * x)
+    return lgamma(x), (1.0 if s > 0.0 else -1.0)
+
+
+def _hyp2f1_direct(a, b, c, z):
+    """Gauss series with Kahan compensation; |z| must be < 1."""
+    t = 1.0
+    s = 1.0
+    comp = 0.0
+    small_streak = 0
+    for k in range(_SERIES_CAP):
+        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        y = t - comp
+        tt = s + y
+        comp = (tt - s) - y
+        s = tt
+        if abs(t) <= abs(s) * _SERIES_TOL:
+            small_streak += 1
+            if small_streak >= 2 or t == 0.0:
+                return s
+        else:
+            small_streak = 0
+    raise SeriesError("hyp2f1", (a, b, c, z))

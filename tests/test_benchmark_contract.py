@@ -1,11 +1,15 @@
 """The benchmark's view of the package.
 
 ``perfbench/tracing.py`` rebinds gfaber functions by module and name for
-``--trace 1``, and ``perfbench/workloads.py`` builds its scenarios from
-``cli.PRESETS``.  A change under ``src/`` that breaks either would
-otherwise pass this suite and show only when the benchmark runs.
+``--trace 1``, ``perfbench/workloads.py`` builds its scenarios from
+``cli.PRESETS``, and every ``perfbench/*.py`` reads gfaber names such as
+``nlfit.max_abs_deviation``.  A change under ``src/`` that breaks any of
+them would otherwise pass this suite and show only when the benchmark
+runs.
 """
 
+import ast
+import glob
 import importlib
 import os
 import sys
@@ -34,3 +38,67 @@ def test_workload_builders_build():
     argvs = {call.argv for call in calls}
     for name in cli.PRESETS:
         assert ("aber", "--preset", name) in argvs
+
+
+def _gfaber_reads(path):
+    """``(dotted owner, name)`` of every gfaber name that ``path`` reads.
+
+    Covers ``from gfaber[.module] import name`` and ``alias.name`` where
+    ``alias`` was bound by an import of gfaber, in any scope of the file.
+    """
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    aliases = {}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "gfaber":
+                    # ``import gfaber.cli`` binds ``gfaber``.
+                    aliases[alias.asname or "gfaber"] = (
+                        alias.name if alias.asname else "gfaber"
+                    )
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").split(".")[0] == "gfaber"
+        ):
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then getattr."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_every_gfaber_name_the_benchmark_reads_resolves():
+    reads = set()
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        reads |= _gfaber_reads(path)
+    # The scan itself must see the names the benchmark is known to read.
+    assert {("gfaber.nlfit", "max_abs_deviation"),
+            ("gfaber.specfun", "backend")} <= reads
+    missing = []
+    for owner, name in sorted(reads):
+        try:
+            _resolve(f"{owner}.{name}")
+        except (ImportError, AttributeError):
+            missing.append(f"{owner}.{name}")
+    assert missing == []

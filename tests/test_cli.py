@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from gfaber import aber, cli, noise
+from gfaber.errors import NonFiniteResidualError
 
 
 ETA_FLAGS = ["--model", "eta-mu", "--eta", "0.5", "--mu", "1",
@@ -135,6 +136,19 @@ def test_aber_reports_unresolvable_points(capsys):
     rows = out.strip().split("\n")[1:]
     assert rows[0].split(",")[1] == "nan"
     assert float(rows[1].split(",")[1]) > 0.0
+
+
+def test_aber_overflow_is_a_numerical_failure(capsys, monkeypatch):
+    # A bare OverflowError from a kernel escapes the sweep; main reports
+    # it as a numerical failure, not as a traceback.
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(aber, "aber_closed", overflow)
+    code, out, err = run_cli(capsys, ["aber"] + ETA_FLAGS)
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: math range error\n"
 
 
 # --------------------------------------------------------------------------
@@ -289,9 +303,14 @@ _GOOD_CONFIG = {
         (dict(_GOOD_CONFIG, mimo={"nt": 2.5}), "mimo"),
         (dict(_GOOD_CONFIG, fading={"model": "eta-mu", "eta": None,
                                     "mu": 1.0}), "fading"),
+        (dict(_GOOD_CONFIG, snr_db={"start": "a", "step": 5, "stop": 20}),
+         "snr_db"),
+        (dict(_GOOD_CONFIG, snr_db={"start": True, "step": 5, "stop": 20}),
+         "snr_db"),
     ],
     ids=["top-level-string", "noise-list", "noise-a-null", "mimo-list",
-         "mimo-fractional-nt", "fading-eta-null"],
+         "mimo-fractional-nt", "fading-eta-null", "snr-start-string",
+         "snr-start-bool"],
 )
 def test_config_section_of_wrong_type_exits_two(capsys, tmp_path, config,
                                                 section):
@@ -393,6 +412,21 @@ def test_qfit_refit_reports_deviation(capsys):
     assert 0.0 < row["max_abs_dev"] < 1e-4
 
 
+def test_qfit_without_a_converged_restart_exits_three(capsys, monkeypatch):
+    from gfaber import nlfit
+
+    def diverge(residual, x0):
+        raise NonFiniteResidualError(x0)
+
+    monkeypatch.setattr(nlfit, "levenberg_marquardt", diverge)
+    code, out, err = run_cli(capsys, ["qfit", "--a", "1.7"])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "numerical failure: no restart converged while refitting a=1.7\n"
+    )
+
+
 def test_qfit_requires_a_or_table(capsys):
     code, _, err = run_cli(capsys, ["qfit"])
     assert code == 2
@@ -466,6 +500,19 @@ def test_pdf_mean_power_db_shift(capsys):
     value = float(shifted.strip().split("\n")[1].split(",")[1])
     assert math.isclose(value, 0.5 * math.exp(-1.0), rel_tol=1e-4)
     assert shifted != ref
+
+
+def test_pdf_takes_no_config_or_preset(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_GOOD_CONFIG), encoding="utf-8")
+    for source in (["--config", str(path)], ["--preset", "fig1"]):
+        code, out, err = run_cli(capsys, ["pdf", "--gamma", "1"] + source)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: " + source[0] in err
+    code, _, err = run_cli(capsys, ["pdf", "--gamma", "1"])
+    assert code == 2
+    assert err == "error: --model is required\n"
 
 
 def test_pdf_rejects_negative_gamma(capsys):

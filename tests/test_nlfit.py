@@ -17,8 +17,7 @@ def test_linear_least_squares_exact_recovery():
     def residual(theta):
         return theta[0] + theta[1] * t - target
 
-    problem = nlfit.LmProblem(residual=residual, x0=(0.0, 0.0))
-    result = nlfit.levenberg_marquardt(problem)
+    result = nlfit.levenberg_marquardt(residual, (0.0, 0.0))
     assert abs(result.params[0] - 1.0) < 1e-8
     assert abs(result.params[1] - 2.0) < 1e-8
     assert result.ssr < 1e-16
@@ -32,8 +31,7 @@ def test_exponential_recovery():
     def residual(theta):
         return theta[0] * np.exp(-theta[1] * t) - target
 
-    problem = nlfit.LmProblem(residual=residual, x0=(1.0, 1.0))
-    result = nlfit.levenberg_marquardt(problem)
+    result = nlfit.levenberg_marquardt(residual, (1.0, 1.0))
     assert abs(result.params[0] - 0.5) < 1e-6
     assert abs(result.params[1] - 2.0) < 1e-6
 
@@ -44,8 +42,7 @@ def test_rosenbrock_valley():
     def residual(theta):
         return np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]])
 
-    problem = nlfit.LmProblem(residual=residual, x0=(-1.2, 1.0), max_iter=500)
-    result = nlfit.levenberg_marquardt(problem)
+    result = nlfit.levenberg_marquardt(residual, (-1.2, 1.0))
     assert abs(result.params[0] - 1.0) < 1e-6
     assert abs(result.params[1] - 1.0) < 1e-6
 
@@ -58,9 +55,8 @@ def test_never_increases_ssr():
         return theta[0] * t + theta[1] * t**2 - target
 
     x0 = (3.0, -2.0)
-    problem = nlfit.LmProblem(residual=residual, x0=x0)
     initial = float(np.sum(residual(np.asarray(x0)) ** 2))
-    result = nlfit.levenberg_marquardt(problem)
+    result = nlfit.levenberg_marquardt(residual, x0)
     assert result.ssr <= initial
     assert result.iterations >= 1
     assert result.status in (
@@ -72,9 +68,8 @@ def test_non_finite_residual_raises():
     def residual(theta):
         return np.array([math.nan, theta[0]])
 
-    problem = nlfit.LmProblem(residual=residual, x0=(1.0,))
     with pytest.raises(NonFiniteResidualError):
-        nlfit.levenberg_marquardt(problem)
+        nlfit.levenberg_marquardt(residual, (1.0,))
 
 
 def test_default_fit_grid_shape():
