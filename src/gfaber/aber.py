@@ -22,8 +22,13 @@ which both families admit in closed form:
 Each family has one evaluator; its ``reduced`` flag selects the
 elementary factor instead of the 2F1 one, and only that factor differs.
 :func:`aber_point` uses the 2F1 form; the test suite cross-checks the
-two.  Terms are assembled in log space (weights may be negative, so signs
-are carried separately).
+two.  Both evaluators pass the 2F1 its lower parameter as the second
+upper one, so :func:`~gfaber.specfun.gauss_2f1` returns ``(1 - z)^-a``
+without summing a series wherever that value fits in a double.  The
+forms still differ in where the factor enters: the 2F1 form multiplies
+it into the exponentiated term, the elementary form adds its log.  Terms
+are assembled in log space (weights may be negative, so signs are
+carried separately); the SNR-free constants of a call are computed once.
 
 :func:`sweep` evaluates a scenario over an SNR grid by the closed form or
 by either quadrature oracle, recording per-point failures as gaps with
@@ -131,11 +136,23 @@ def aber_eta_mu_closed(compact, fit, a_const, b_const, reduced=False):
     1/2)``.  The 2F1 form multiplies the factor into ``exp(log_mag)``
     after exponentiation, so at high diversity and strong imbalance a
     huge factor times a subnormal ``exp`` loses precision where the
-    elementary form, which stays in log space, does not.
+    elementary form, which stays in log space, does not.  The 2F1 form
+    passes ``1 + nu`` as both ``b`` and ``c``: ``(m+nu+1)/2`` equals it on
+    paper but not always in floating point, and the kernel takes its
+    closed form only when the two are equal.
     """
     if a_const == 0.0:
         return 0.0
     shape_sum = compact.m + compact.nu
+    ln_gamma_sum = specfun.ln_gamma(shape_sum)
+    log_a = log(a_const)
+    if not compact.degenerate:
+        shift = (
+            compact.nu * log(compact.xi)
+            - compact.nu * _LOG2
+            - specfun.ln_gamma(compact.nu + 1.0)
+        )
+        lower = 1.0 + compact.nu
     terms = []
     for p_i, q_i in zip(fit.p, fit.q):
         if p_i == 0.0:
@@ -147,27 +164,19 @@ def aber_eta_mu_closed(compact, fit, a_const, b_const, reduced=False):
             )
         log_mag = (
             compact.log_psi
-            + specfun.ln_gamma(shape_sum)
+            + ln_gamma_sum
             - shape_sum * log(beta_i)
             + log(abs(p_i))
-            + log(a_const)
+            + log_a
         )
         hyp = 1.0
         if not compact.degenerate:
-            shift = (
-                compact.nu * log(compact.xi)
-                - compact.nu * _LOG2
-                - specfun.ln_gamma(compact.nu + 1.0)
-            )
             z = (compact.xi / beta_i) ** 2
             if reduced:
                 log_mag += shift - (compact.nu + 0.5) * log1p(-z)
             else:
                 log_mag += shift
-                hyp = specfun.gauss_2f1(
-                    0.5 * shape_sum, 0.5 * (shape_sum + 1.0),
-                    1.0 + compact.nu, z,
-                )
+                hyp = specfun.gauss_2f1(0.5 * shape_sum, lower, lower, z)
         terms.append((math.copysign(hyp, p_i), log_mag))
     return _signed_exp_sum(terms)
 
@@ -187,6 +196,8 @@ def aber_kms_closed(compact, fit, a_const, b_const, reduced=False):
     """
     if a_const == 0.0:
         return 0.0
+    ln_gamma_mu = specfun.ln_gamma(compact.mu_tilde)
+    log_a = log(a_const)
     terms = []
     for p_i, q_i in zip(fit.p, fit.q):
         if p_i == 0.0:
@@ -198,10 +209,10 @@ def aber_kms_closed(compact, fit, a_const, b_const, reduced=False):
             )
         log_mag = (
             compact.log_psi
-            + specfun.ln_gamma(compact.mu_tilde)
+            + ln_gamma_mu
             - compact.mu_tilde * log(s_i)
             + log(abs(p_i))
-            + log(a_const)
+            + log_a
         )
         hyp = 1.0
         if compact.zeta != 0.0:

@@ -216,7 +216,19 @@ def log_kummer_1f1(a, b, z):
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function ``2F1(a, b; c; z)`` on ``0 <= z < 1``.
 
-    Direct series for ``z <= 0.5``.  For ``z > 0.5`` the linear
+    When ``b == c`` the function is elementary, ``2F1(a, b; b; z) = (1 -
+    z)^-a`` (DLMF 15.4.6), and is returned as ``exp(-a log1p(-z))``; every
+    closed-form caller has ``b == c``.  Where that value would overflow a
+    double, the series code below runs instead, so such arguments fail as
+    they did before the identity was used: with a
+    :class:`~gfaber.errors.SeriesError`, which a sweep records as a
+    per-point gap, or, for ``z > 0.5``, possibly with a bare
+    ``OverflowError`` from the transformation, which aborts the sweep.
+    Raising a package error there instead would turn those aborts into
+    gaps, and the sweep would go on to later points where the closed
+    form's ``hyp * exp(log_mag)`` silently underflows to zero.
+
+    Otherwise: direct series for ``z <= 0.5``.  For ``z > 0.5`` the linear
     transformation to argument ``1 - z`` converges quickly, except when
     ``c - a - b`` is within 0.05 of an integer (its gamma prefactors then
     sit on or near poles); that case falls back to the compensated direct
@@ -229,6 +241,10 @@ def gauss_2f1(a, b, c, z):
         raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got {z}")
     if z == 0.0:
         return 1.0
+    if b == c:
+        log_val = -a * log1p(-z)
+        if log_val < 709.0:
+            return exp(log_val)
     if z <= 0.5:
         return _hyp2f1_direct(a, b, c, z)
     t = c - a - b

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 
-from gfaber import aber, fading, modulation, noise
+from gfaber import aber, fading, modulation, noise, specfun
+from gfaber.errors import SeriesError
 
 # Round-robin coverage: every scheme family and every tabulated noise
 # shape appears several times across a 35-scenario batch.
@@ -69,3 +70,20 @@ def density_for(params, mimo):
 
 def closed_aber(params, mimo, fit, a_const, b_const, reduced=False):
     return aber.aber_closed(params, mimo, fit, a_const, b_const, reduced=reduced)
+
+
+def fail_gauss_2f1_near_one(monkeypatch):
+    """Make ``specfun.gauss_2f1`` raise ``SeriesError`` whenever ``z > 0.99``.
+
+    Injects a per-point kernel failure into closed-form sweeps.  With
+    eta = 1e-5 and mu = 1 every term's argument exceeds 0.999 at 0 dB and
+    stays below 0.96 at 30 dB, so only the 0 dB point fails.
+    """
+    real = specfun.gauss_2f1
+
+    def gauss_2f1(a, b, c, z):
+        if z > 0.99:
+            raise SeriesError("hyp2f1", (a, b, c, z))
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(specfun, "gauss_2f1", gauss_2f1)

@@ -1,17 +1,20 @@
 """Closed-form ABER expressions and the sweep driver.
 
-The two frozen anchors were produced by 50-digit mpmath quadrature of
-A * sum_i p_i e^{-q_i B g} against densities written directly from the
-textbook definitions — no package code involved.
+The first two frozen anchors were produced by 50-digit mpmath quadrature
+of A * sum_i p_i e^{-q_i B g} against densities written directly from the
+textbook definitions — no package code involved.  The third is the same
+average taken through the eta-mu moment generating function.
 """
 
 import math
 
 import pytest
 
-from conftest import closed_aber, density_for, scenario_batch
+from conftest import (
+    closed_aber, density_for, fail_gauss_2f1_near_one, scenario_batch,
+)
 
-from gfaber import aber, fading, modulation, noise, quadrature
+from gfaber import aber, cli, fading, modulation, noise, quadrature, specfun
 
 BPSK = modulation.parse_modulation("bpsk")
 FIT2 = noise.builtin_fit(2.0)
@@ -23,6 +26,10 @@ MIMO4 = fading.MimoConfig(nt=2, nr=2)
 ETA_ABER_REF = 8.6197586862094818e-8
 # KappaMuShadowedParams(2, 2, 1), same setup.
 KMS_ABER_REF = 2.8434591040615501e-7
+# EtaMuParams(1e-5, 1), 1x1, per-branch power 1, BPSK, a=2 table fit:
+# A * sum_i p_i M(q_i B) at 40 digits, with the eta-mu MGF (format 1)
+# M(s) = (4 mu^2 h / ((2 mu (h - H) + s) (2 mu (h + H) + s)))^mu.
+ETA_IMBALANCED_ABER_REF = 0.14725139005409102
 
 
 def test_eta_mu_frozen_anchor():
@@ -36,6 +43,41 @@ def test_kms_frozen_anchor():
                                           mean_power=10.0)
     got = aber.aber_closed(params, MIMO4, FIT2, 1.0, 2.0)
     assert math.isclose(got, KMS_ABER_REF, rel_tol=1e-10)
+
+
+def test_strong_imbalance_at_low_snr_resolves():
+    """Every term's 2F1 argument exceeds 0.999 here; the Gauss series used
+    to give up at this point."""
+    params = fading.EtaMuParams(shape=1e-5, mu=1.0)
+    got = aber.aber_closed(params, MIMO1, FIT2, 1.0, 2.0)
+    assert math.isclose(got, ETA_IMBALANCED_ABER_REF, rel_tol=1e-11)
+
+
+def test_preset_curves_take_the_elementary_2f1_path(monkeypatch):
+    """Every closed-form 2F1 factor has b == c, so the kernel returns
+    (1 - z)^-a and never sums a Gauss series."""
+    real_2f1 = specfun.gauss_2f1
+    real_series = specfun._hyp2f1_direct
+    calls = []
+    series_runs = []
+
+    def gauss_2f1(a, b, c, z):
+        calls.append((a, b, c, z))
+        return real_2f1(a, b, c, z)
+
+    def hyp2f1_direct(*args):
+        series_runs.append(args)
+        return real_series(*args)
+
+    monkeypatch.setattr(specfun, "gauss_2f1", gauss_2f1)
+    monkeypatch.setattr(specfun, "_hyp2f1_direct", hyp2f1_direct)
+    for name in cli.PRESETS:
+        scenarios, _ = cli._scenarios_from_preset(name)
+        for _, sc in scenarios:
+            aber.sweep(sc)
+    assert calls
+    assert [args for args in calls if args[1] != args[2]] == []
+    assert series_runs == []
 
 
 def test_closed_equals_reduced_across_batch():
@@ -188,9 +230,10 @@ def test_sweep_empty_grid():
     assert curve.monotone
 
 
-def test_sweep_records_gap_and_diagnostic_for_failing_point():
-    """Extreme asymmetry (eta -> 0 with integer mu N) defeats the series
-    term cap at low SNR; the sweep must degrade point-wise, not fail."""
+def test_sweep_records_gap_and_diagnostic_for_failing_point(monkeypatch):
+    """A kernel failure at one SNR point must degrade the sweep
+    point-wise, not abort it."""
+    fail_gauss_2f1_near_one(monkeypatch)
     sc = scenario(fading.EtaMuParams(shape=1e-5, mu=1.0),
                   snr_grid=(0.0, 30.0))
     curve = aber.sweep(sc)

@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+from conftest import fail_gauss_2f1_near_one
+
 from gfaber import aber, cli, noise
 from gfaber.errors import NonFiniteResidualError
 
@@ -122,9 +124,10 @@ def test_aber_preset_json_carries_note(capsys):
     assert len(payload["curves"]) >= 2
 
 
-def test_aber_reports_unresolvable_points(capsys):
-    # Near-degenerate eta at 0 dB defeats the series evaluation; the CLI
-    # must keep the resolvable points, emit nan for the gap, and exit 3.
+def test_aber_reports_unresolvable_points(capsys, monkeypatch):
+    # A kernel failure at 0 dB only: the CLI must keep the resolvable
+    # points, emit nan for the gap, and exit 3.
+    fail_gauss_2f1_near_one(monkeypatch)
     code, out, err = run_cli(
         capsys,
         ["aber", "--model", "eta-mu", "--eta", "1e-5", "--mu", "1",
@@ -375,7 +378,8 @@ def test_verify_curve_without_nonzero_oracle_value_exits_three(capsys):
     assert err.startswith("numerical failure: curve aber_closed: ")
 
 
-def test_verify_gap_exits_three(capsys):
+def test_verify_gap_exits_three(capsys, monkeypatch):
+    fail_gauss_2f1_near_one(monkeypatch)
     code, _, err = run_cli(
         capsys,
         ["verify", "--model", "eta-mu", "--eta", "1e-5", "--mu", "1",

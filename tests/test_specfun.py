@@ -7,10 +7,12 @@ standard definitions (``mp.gammainc``, ``mp.hyp1f1``, ``mp.hyp2f1``,
 
 import math
 
+import mpmath
 import pytest
 import scipy.special as sps
 
 from gfaber import specfun
+from gfaber.errors import SeriesError
 
 # (s, x) -> Gamma(s, x), mpmath 50 dps
 UPPER_GAMMA_REFS = {
@@ -206,13 +208,49 @@ def test_kummer_domain_errors():
 
 
 def test_gauss_2f1_binomial_identity():
-    """2F1(a, b; b; z) = (1 - z)^-a across both evaluation branches."""
+    """2F1(a, b; b; z) = (1 - z)^-a, returned in closed form, and its
+    mirror 2F1(b, a; b; z), which the direct series (z <= 0.5) and the
+    1 - z transformation (z > 0.5) evaluate."""
     for a in (0.75, 1.5, 4.25):
         for b in (1.3, 2.6):
             for z in (0.0, 0.01, 0.3, 0.5, 0.7, 0.9, 0.97):
-                got = specfun.gauss_2f1(a, b, b, z)
                 want = (1.0 - z) ** (-a)
+                got = specfun.gauss_2f1(a, b, b, z)
                 assert math.isclose(got, want, rel_tol=1e-11), (a, b, z)
+                got = specfun.gauss_2f1(b, a, b, z)
+                assert math.isclose(got, want, rel_tol=1e-11), (b, a, z)
+
+
+def test_gauss_2f1_equal_parameters_against_mpmath():
+    """b == c over the closed form's range of a, up to z = 1 - 1e-6.
+
+    Where (1 - z)^-a exceeds the double range the kernel must raise, not
+    return inf or a wrong finite value.
+    """
+    for a in (0.3, 1.0, 4.0, 17.5, 250.0, 5e3):
+        for b in (0.8, 6.18):
+            for z in (1e-6, 0.05, 0.35, 0.5, 0.65, 0.9, 0.97, 0.999,
+                      1.0 - 1e-6):
+                with mpmath.workdps(40):
+                    want = mpmath.hyp2f1(a, b, b, z)
+                if want > mpmath.mpf(1.7e308):
+                    with pytest.raises((SeriesError, OverflowError)):
+                        specfun.gauss_2f1(a, b, b, z)
+                    continue
+                got = specfun.gauss_2f1(a, b, b, z)
+                assert math.isclose(got, want, rel_tol=1e-13), (a, b, z)
+
+
+def test_gauss_2f1_overflowing_identity_keeps_failure_types():
+    """Where (1 - z)^-a overflows, the series code runs and fails as it
+    did before the closed form existed: a SeriesError (a per-point gap in
+    a sweep) below z = 0.5, a bare OverflowError from the transformation
+    above it (the 8x8 64-QAM corner of the benchmark)."""
+    with pytest.raises(SeriesError):
+        specfun.gauss_2f1(2278.0, 6.18, 6.18, 0.35022130472534746)
+    with pytest.raises(OverflowError) as info:
+        specfun.gauss_2f1(156.608, 157.108, 157.108, 0.9999853012836502)
+    assert type(info.value) is OverflowError
 
 
 def test_gauss_2f1_frozen_references():
