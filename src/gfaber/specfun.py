@@ -18,6 +18,7 @@ All operations are pure functions of their arguments.
 from __future__ import annotations
 
 import math
+import sys
 from math import exp, inf, lgamma, log, log1p, pi, sin
 
 from gfaber.errors import OverflowLogValue, SeriesError
@@ -31,6 +32,8 @@ _LOG_RESCALE = 280.0 * math.log(10.0)
 # Above this argument the ascending series of I_v / 1F1 needs too many
 # terms; the standard large-argument asymptotic expansions take over.
 _ASYMPTOTIC_CUTOFF = 4000.0
+# Largest finite exp() argument, ln(DBL_MAX) = 709.78.
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def backend():
@@ -217,18 +220,24 @@ def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function ``2F1(a, b; c; z)`` on ``0 <= z < 1``.
 
     When ``b == c`` the function is elementary, ``2F1(a, b; b; z) = (1 -
-    z)^-a`` (DLMF 15.4.6), and is returned as ``exp(-a log1p(-z))``; every
-    closed-form caller has ``b == c``.  Where that value would overflow a
-    double, the series code below runs instead, so such arguments fail as
-    they did before the identity was used: with a
-    :class:`~gfaber.errors.SeriesError`, which a sweep records as a
-    per-point gap, or, for ``z > 0.5``, possibly with a bare
-    ``OverflowError`` from the transformation, which aborts the sweep.
-    Raising a package error there instead would turn those aborts into
-    gaps, and the sweep would go on to later points where the closed
-    form's ``hyp * exp(log_mag)`` silently underflows to zero.
+    z)^-a`` (DLMF 15.4.6); every closed-form caller has ``b == c``.  With
+    ``log_val = -a log1p(-z)`` there are three regimes:
 
-    Otherwise: direct series for ``z <= 0.5``.  For ``z > 0.5`` the linear
+    * ``log_val < 709``: the identity, ``exp(log_val)``.
+    * ``709 <= log_val <= ln(DBL_MAX)``: the series code below, which
+      converges there to the finite value.
+    * ``log_val > ln(DBL_MAX)``: the value overflows a double.  Where the
+      direct series would run (see below), a
+      :class:`~gfaber.errors.SeriesError` is raised at once (a per-point
+      gap in a sweep): the series' terms are all positive, so it could
+      only run to its term cap and raise the same error.  Otherwise the
+      transformation runs and may raise a bare ``OverflowError``, which
+      aborts the sweep.  Raising a package error there instead would
+      turn those aborts into gaps, and the sweep would go on to later
+      points where the closed form's ``hyp * exp(log_mag)`` silently
+      underflows to zero.
+
+    Series code: direct series for ``z <= 0.5``.  For ``z > 0.5`` the linear
     transformation to argument ``1 - z`` converges quickly, except when
     ``c - a - b`` is within 0.05 of an integer (its gamma prefactors then
     sit on or near poles); that case falls back to the compensated direct
@@ -245,10 +254,12 @@ def gauss_2f1(a, b, c, z):
         log_val = -a * log1p(-z)
         if log_val < 709.0:
             return exp(log_val)
-    if z <= 0.5:
-        return _hyp2f1_direct(a, b, c, z)
     t = c - a - b
-    if abs(t - round(t)) < 0.05:
+    if z <= 0.5 or abs(t - round(t)) < 0.05:
+        if b == c and log_val > _LOG_DBL_MAX:
+            # Every term is positive and the sum exceeds DBL_MAX, so the
+            # series could only run to its cap (or to inf/nan) and fail.
+            raise SeriesError("hyp2f1", (a, b, c, z))
         return _hyp2f1_direct(a, b, c, z)
     w = 1.0 - z
     lg_c, sg_c = _lgamma_signed(c)

@@ -87,3 +87,20 @@ def fail_gauss_2f1_near_one(monkeypatch):
         return real(a, b, c, z)
 
     monkeypatch.setattr(specfun, "gauss_2f1", gauss_2f1)
+
+
+def record_direct_series(monkeypatch):
+    """Record every run of the Gauss series ``specfun._hyp2f1_direct``.
+
+    Returns the list that each call's arguments are appended to; the
+    series itself still runs.
+    """
+    real = specfun._hyp2f1_direct
+    runs = []
+
+    def hyp2f1_direct(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_direct", hyp2f1_direct)
+    return runs

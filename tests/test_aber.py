@@ -11,7 +11,8 @@ import math
 import pytest
 
 from conftest import (
-    closed_aber, density_for, fail_gauss_2f1_near_one, scenario_batch,
+    closed_aber, density_for, fail_gauss_2f1_near_one, record_direct_series,
+    scenario_batch,
 )
 
 from gfaber import aber, cli, fading, modulation, noise, quadrature, specfun
@@ -57,20 +58,14 @@ def test_preset_curves_take_the_elementary_2f1_path(monkeypatch):
     """Every closed-form 2F1 factor has b == c, so the kernel returns
     (1 - z)^-a and never sums a Gauss series."""
     real_2f1 = specfun.gauss_2f1
-    real_series = specfun._hyp2f1_direct
     calls = []
-    series_runs = []
 
     def gauss_2f1(a, b, c, z):
         calls.append((a, b, c, z))
         return real_2f1(a, b, c, z)
 
-    def hyp2f1_direct(*args):
-        series_runs.append(args)
-        return real_series(*args)
-
     monkeypatch.setattr(specfun, "gauss_2f1", gauss_2f1)
-    monkeypatch.setattr(specfun, "_hyp2f1_direct", hyp2f1_direct)
+    series_runs = record_direct_series(monkeypatch)
     for name in cli.PRESETS:
         scenarios, _ = cli._scenarios_from_preset(name)
         for _, sc in scenarios:
@@ -241,6 +236,32 @@ def test_sweep_records_gap_and_diagnostic_for_failing_point(monkeypatch):
     assert curve.points[1][1] is not None
     assert len(curve.diagnostics) == 1
     assert curve.diagnostics[0].startswith("snr_db=0")
+
+
+def test_overflowing_kms_points_are_gaps_without_a_series_run(monkeypatch):
+    """Strong LoS with light shadowing and a = 1 (closed_many seed 0,
+    drawn/419-kms): (1 - z)^-a overflows a double from -20 to 20 dB.
+    Those points are SeriesError gaps, raised without summing the Gauss
+    series.  The 0.0 values from 25 dB up are the known silent zeros of
+    the default evaluator (ROADMAP item 1) and are not pinned here."""
+    series_runs = record_direct_series(monkeypatch)
+    sc = aber.AberScenario(
+        fading=fading.KappaMuShadowedParams(kappa=110.34657799189027,
+                                            mu=3.336902179931333,
+                                            m=634.1492728966058),
+        mimo=fading.MimoConfig(nt=3, nr=1),
+        noise=noise.builtin_fit(1.0),
+        modulation=modulation.parse_modulation("qpsk"),
+        snr_grid=tuple(range(-20, 61, 5)),
+    )
+    curve = aber.sweep(sc)
+    gaps = [snr for snr, value in curve.points if value is None]
+    assert gaps == [float(snr) for snr in range(-20, 21, 5)]
+    assert len(curve.diagnostics) == len(gaps)
+    for snr, diagnostic in zip(gaps, curve.diagnostics):
+        assert diagnostic.startswith(f"snr_db={snr:g}: ")
+        assert "hyp2f1 did not converge within the term cap" in diagnostic
+    assert series_runs == []
 
 
 def test_scenario_validation():

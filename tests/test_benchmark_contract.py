@@ -18,6 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
+from conftest import record_direct_series  # noqa: E402
 from perfbench import tracing, workloads  # noqa: E402
 
 from gfaber import aber, cli  # noqa: E402
@@ -38,6 +39,20 @@ def test_workload_builders_build():
     argvs = {call.argv for call in calls}
     for name in cli.PRESETS:
         assert ("aber", "--preset", name) in argvs
+
+
+def test_closed_many_sums_no_gauss_series(monkeypatch):
+    """Every closed-form 2F1 factor in ``closed_many`` either fits a double
+    and is returned as (1 - z)^-a, or overflows and fails at once (or in
+    the z > 0.5 transformation); none runs the direct series, which would
+    sum 10,000 terms before failing.  Counts calls, not time."""
+    series_runs = record_direct_series(monkeypatch)
+    for curve in workloads.closed_many(0):
+        try:
+            aber.sweep(curve.scenario, aber.METHOD_CLOSED)
+        except OverflowError:
+            pass  # the transformation's known aborts (13 curves)
+    assert len(series_runs) == 0
 
 
 def _gfaber_reads(path):

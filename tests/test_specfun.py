@@ -6,13 +6,19 @@ standard definitions (``mp.gammainc``, ``mp.hyp1f1``, ``mp.hyp2f1``,
 """
 
 import math
+import random
+import sys
 
 import mpmath
 import pytest
 import scipy.special as sps
 
+from conftest import record_direct_series
+
 from gfaber import specfun
 from gfaber.errors import SeriesError
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 # (s, x) -> Gamma(s, x), mpmath 50 dps
 UPPER_GAMMA_REFS = {
@@ -242,15 +248,88 @@ def test_gauss_2f1_equal_parameters_against_mpmath():
 
 
 def test_gauss_2f1_overflowing_identity_keeps_failure_types():
-    """Where (1 - z)^-a overflows, the series code runs and fails as it
-    did before the closed form existed: a SeriesError (a per-point gap in
-    a sweep) below z = 0.5, a bare OverflowError from the transformation
-    above it (the 8x8 64-QAM corner of the benchmark)."""
+    """Where (1 - z)^-a overflows, the kernel fails as it did before the
+    closed form existed: a SeriesError (a per-point gap in a sweep) below
+    z = 0.5, raised without summing the series, and a bare OverflowError
+    from the transformation above it (the 8x8 64-QAM corner of the
+    benchmark)."""
     with pytest.raises(SeriesError):
         specfun.gauss_2f1(2278.0, 6.18, 6.18, 0.35022130472534746)
     with pytest.raises(OverflowError) as info:
         specfun.gauss_2f1(156.608, 157.108, 157.108, 0.9999853012836502)
     assert type(info.value) is OverflowError
+
+
+# (a, b, z) with b == c where (1 - z)^-a overflows a double and the direct
+# series would run: z <= 0.5, or c - a - b = -a within 0.05 of an integer.
+OVERFLOWING_DIRECT = (
+    (2278.0, 6.18, 0.35022130472534746),     # closed_many-like, z < 0.5
+    (1100.0, 0.8, 0.5),                      # z on the switch-over
+    (_LOG_DBL_MAX * (1.0 + 1e-12) / math.log(4.0 / 3.0), 2.5, 0.25),
+    (1000.02, 3.0, 0.9),                     # near-integer a, z > 0.5
+    (3000.0, 157.108, 0.6),                  # integer a, z > 0.5
+)
+
+
+def _overflowing_direct_sample(count, seed):
+    """Seeded ``(a, b, z)`` with b == c whose log value exceeds
+    ln(DBL_MAX) by 1e-9 to 1e7 and that the direct series would take."""
+    rng = random.Random(seed)
+    sample = []
+    while len(sample) < count:
+        log_val = _LOG_DBL_MAX + 10.0 ** rng.uniform(-9.0, 7.0)
+        if len(sample) % 2:
+            a = rng.randint(1, 10**7) + rng.uniform(-0.049, 0.049)
+            z = -math.expm1(-log_val / a)
+            if not 0.5 < z < 1.0:
+                continue
+        else:
+            z = rng.uniform(1e-3, 0.5)
+            a = log_val / -math.log1p(-z)
+        if -a * math.log1p(-z) > _LOG_DBL_MAX:
+            sample.append((a, rng.uniform(0.5, 200.0), z))
+    return sample
+
+
+def _series_message(args):
+    return f"hyp2f1 did not converge within the term cap for arguments {args}"
+
+
+def test_gauss_2f1_overflowing_direct_path_raises_without_series(
+        monkeypatch):
+    """The series' own SeriesError, raised before any term is summed."""
+    runs = record_direct_series(monkeypatch)
+    for a, b, z in OVERFLOWING_DIRECT:
+        assert -a * math.log1p(-z) > _LOG_DBL_MAX
+        with pytest.raises(SeriesError) as info:
+            specfun.gauss_2f1(a, b, b, z)
+        assert info.value.name == "hyp2f1"
+        assert info.value.args_used == (a, b, b, z)
+        assert str(info.value) == _series_message((a, b, b, z))
+    assert runs == []
+
+
+def test_direct_series_fails_wherever_the_kernel_skips_it():
+    """The shortcut's premise: on such arguments the series itself runs to
+    its term cap (or to inf/nan) and raises the same error."""
+    sample = OVERFLOWING_DIRECT + tuple(_overflowing_direct_sample(40, 17))
+    for a, b, z in sample:
+        with pytest.raises(SeriesError) as info:
+            specfun._hyp2f1_direct(a, b, b, z)
+        assert str(info.value) == _series_message((a, b, b, z))
+
+
+def test_gauss_2f1_sums_the_series_where_the_value_still_fits(monkeypatch):
+    """709 <= -a log1p(-z) <= ln(DBL_MAX): no shortcut, and the series
+    converges to the finite value."""
+    runs = record_direct_series(monkeypatch)
+    for log_val in (709.2, 709.5, 709.7):
+        a = log_val / math.log(2.0)
+        got = specfun.gauss_2f1(a, 6.18, 6.18, 0.5)
+        with mpmath.workdps(40):
+            want = mpmath.power(2, a)
+        assert math.isclose(got, want, rel_tol=1e-12), (log_val, got)
+    assert len(runs) == 3
 
 
 def test_gauss_2f1_frozen_references():
