@@ -2,10 +2,13 @@
 
 :func:`levenberg_marquardt` is a classic damped Gauss-Newton minimizer of
 ``0.5 * ||r(theta)||^2`` with forward finite-difference Jacobians.  Its
-iteration cap, tolerances and damping schedule are the module constants
-below; no caller changes them.  It exists so that the 4-exponential noise
-model can be refit for shape parameters without embedded constants
-(:func:`fit_q_approx`), reproducing the procedure behind the built-in rows.
+residual takes a stack of parameter vectors and returns one residual row
+per vector, so each Jacobian is a single call on the n bumped vectors.
+Its iteration cap, tolerances and damping schedule are the module
+constants below; no caller changes them.  It exists so that the
+4-exponential noise model can be refit for shape parameters without
+embedded constants (:func:`fit_q_approx`), reproducing the procedure
+behind the built-in rows.
 
 Exponential-sum fitting is multimodal, so the refitter is multi-start:
 the nearest embedded row (origin-rescaled) seeds the first run and seven
@@ -51,44 +54,62 @@ class LmResult:
     status: str = field(default=STATUS_MAX_ITER)
 
 
-def _residual_checked(fun, params):
-    r = np.asarray(fun(params), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteResidualError(params)
-    return r
+def _residual_rows(fun, stack, width=None):
+    """``fun(stack)`` for a ``(k, n)`` stack, checked finite and (k, width)."""
+    rows = np.asarray(fun(stack), dtype=float)
+    if rows.ndim != 2 or rows.shape != (len(stack), width or rows.shape[1]):
+        raise ValueError(
+            f"residual returned shape {rows.shape} for a parameter stack of "
+            f"shape {stack.shape}"
+        )
+    if not np.isfinite(rows).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise NonFiniteResidualError(stack[bad])
+    return rows
 
 
 def _jacobian_fd(fun, params, r0):
-    """Forward finite-difference Jacobian, step 1e-7 * max(1, |theta_j|)."""
+    """Forward finite-difference Jacobian, step 1e-7 * max(1, |theta_j|).
+
+    Row j of the stack is ``params`` with ``steps[j]`` added to entry j;
+    one residual call evaluates all n of them.  The result is a C-ordered
+    (m, n) array: an F-ordered one sends ``jac.T @ r`` down another BLAS
+    path, whose last-bit differences steer LM to other minima and so
+    change the refit's output.
+    """
     n = params.size
-    jac = np.empty((r0.size, n))
-    for j in range(n):
-        step = 1e-7 * max(1.0, abs(params[j]))
-        bumped = params.copy()
-        bumped[j] += step
-        jac[:, j] = (_residual_checked(fun, bumped) - r0) / step
-    return jac
+    steps = 1e-7 * np.maximum(1.0, np.abs(params))
+    stack = np.tile(params, (n, 1))
+    stack[np.diag_indices(n)] += steps
+    rows = _residual_rows(fun, stack, r0.size)
+    return np.ascontiguousarray(((rows - r0) / steps[:, None]).T)
 
 
 def levenberg_marquardt(residual, x0):
     """Minimize ``0.5 * ||residual(theta)||^2`` starting from ``x0``.
 
-    ``residual`` maps a parameter vector (1-D array of length n) to a
-    residual vector of length m >= n.  The damping factor starts at
-    :data:`DAMPING_INIT`, is multiplied by :data:`DAMPING_SCALE` on every
-    rejected step and divided by it on every accepted one (Marquardt
-    diagonal scaling keeps the step well conditioned across parameter
-    magnitudes).  Terminates when the gradient's max norm drops below
-    :data:`GRAD_TOL` (status ``gradient``), when the relative step drops
-    below :data:`STEP_TOL` or damping saturates (status ``step``), or
-    after :data:`MAX_ITER` iterations (``max-iter``).  Accepted steps
-    never increase the objective.
+    ``residual`` maps a ``(k, n)`` stack of parameter vectors to the
+    ``(k, m)`` stack of their residual vectors, m >= n.  A single point is
+    evaluated as ``residual(theta[None])[0]`` and the forward-difference
+    Jacobian as one call on the n bumped vectors.  Every result's shape is
+    checked, so a residual written for one 1-D vector fails at the first
+    call (a :class:`ValueError` where it returns the wrong shape).
+
+    The damping factor starts at :data:`DAMPING_INIT`, is multiplied by
+    :data:`DAMPING_SCALE` on every rejected step and divided by it on every
+    accepted one (Marquardt diagonal scaling keeps the step well
+    conditioned across parameter magnitudes).  Terminates when the
+    gradient's max norm drops below :data:`GRAD_TOL` (status
+    ``gradient``), when the relative step drops below :data:`STEP_TOL` or
+    damping saturates (status ``step``), or after :data:`MAX_ITER`
+    iterations (``max-iter``).  Accepted steps never increase the
+    objective.
 
     Raises :class:`~gfaber.errors.NonFiniteResidualError` if the residual
     becomes non-finite at any evaluated point, including the initial one.
     """
     params = np.array(x0, dtype=float)
-    r = _residual_checked(residual, params)
+    r = _residual_rows(residual, params[None])[0]
     if r.size < params.size:
         raise ValueError(
             f"residual dimension {r.size} is smaller than parameter "
@@ -106,17 +127,16 @@ def levenberg_marquardt(residual, x0):
             status = STATUS_GRADIENT
             break
         jtj = jac.T @ jac
-        diag = np.maximum(np.diag(jtj), 1e-12)
+        scaling = np.diag(np.maximum(np.diag(jtj), 1e-12))
         accepted = False
         while lam <= _DAMPING_MAX:
+            damped = jtj + lam * scaling
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                delta = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(
-                    jtj + lam * np.diag(diag), -grad, rcond=None
-                )[0]
+                delta = np.linalg.lstsq(damped, -grad, rcond=None)[0]
             trial = params + delta
-            r_trial = _residual_checked(residual, trial)
+            r_trial = _residual_rows(residual, trial[None], r.size)[0]
             ssr_trial = float(r_trial @ r_trial)
             if ssr_trial < ssr:
                 params = trial
@@ -168,12 +188,10 @@ def fit_q_approx(a, grid=None):
     target = np.array([noise.q_exact(model, np.sqrt(x)) for x in grid])
 
     def residual(theta):
-        # Wild trial steps can overflow exp; the solver rejects the
-        # resulting non-finite residuals, so keep numpy quiet here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = theta[:4]
-            q = np.exp(theta[4:])
-            return (p * np.exp(-np.outer(grid, q))).sum(axis=1) - target
+        # One row per parameter vector in the (k, 8) stack.
+        p = theta[..., None, :4]
+        q = np.exp(theta[..., None, 4:])
+        return (p * np.exp(-(grid[:, None] * q))).sum(axis=-1) - target
 
     p_seed, q_seed = _nearest_builtin(a)
     p_seed = np.asarray(p_seed, dtype=float)
@@ -192,7 +210,11 @@ def fit_q_approx(a, grid=None):
             q0 = q_seed * factors[4:]
         theta0 = np.concatenate([p0, np.log(q0)])
         try:
-            result = levenberg_marquardt(residual, theta0)
+            # Wild trial steps can overflow exp.  The solver then raises
+            # NonFiniteResidualError and this whole restart is dropped, so
+            # numpy's warnings about it are noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = levenberg_marquardt(residual, theta0)
         except NonFiniteResidualError:
             continue
         if not np.isfinite(result.ssr):

@@ -21,7 +21,7 @@ if ROOT not in sys.path:
 from conftest import record_direct_series  # noqa: E402
 from perfbench import tracing, workloads  # noqa: E402
 
-from gfaber import aber, cli  # noqa: E402
+from gfaber import aber, cli, nlfit  # noqa: E402
 
 
 def test_every_traced_name_resolves_to_a_callable():
@@ -53,6 +53,34 @@ def test_closed_many_sums_no_gauss_series(monkeypatch):
         except OverflowError:
             pass  # the transformation's known aborts (13 curves)
     assert len(series_runs) == 0
+
+
+def test_refit_evaluates_one_stack_per_lm_iteration(monkeypatch):
+    """``nlfit.lm`` is the refit's hot path in ``cli_cold``: during
+    ``fit_q_approx(2.784)`` each LM iteration's Jacobian is one 8-row
+    stack, and every other residual call is one point (the start or a
+    damping trial), never a single bumped column.  Counts calls, not time."""
+    real_lm = nlfit.levenberg_marquardt
+    runs = []
+
+    def counting_lm(residual, x0):
+        shapes = []
+
+        def counted(stack):
+            shapes.append(stack.shape)
+            return residual(stack)
+
+        result = real_lm(counted, x0)
+        runs.append((shapes, result.iterations))
+        return result
+
+    monkeypatch.setattr(nlfit, "levenberg_marquardt", counting_lm)
+    nlfit.fit_q_approx(2.784)
+    assert len(runs) == nlfit.N_RESTARTS
+    for shapes, iterations in runs:
+        assert set(shapes) == {(1, 8), (8, 8)}
+        assert shapes[0] == (1, 8)
+        assert shapes.count((8, 8)) == iterations
 
 
 def _gfaber_reads(path):

@@ -15,7 +15,7 @@ def test_linear_least_squares_exact_recovery():
     target = 1.0 + 2.0 * t
 
     def residual(theta):
-        return theta[0] + theta[1] * t - target
+        return theta[:, :1] + theta[:, 1:] * t - target
 
     result = nlfit.levenberg_marquardt(residual, (0.0, 0.0))
     assert abs(result.params[0] - 1.0) < 1e-8
@@ -29,7 +29,7 @@ def test_exponential_recovery():
     target = 0.5 * np.exp(-2.0 * t)
 
     def residual(theta):
-        return theta[0] * np.exp(-theta[1] * t) - target
+        return theta[:, :1] * np.exp(-theta[:, 1:] * t) - target
 
     result = nlfit.levenberg_marquardt(residual, (1.0, 1.0))
     assert abs(result.params[0] - 0.5) < 1e-6
@@ -40,7 +40,8 @@ def test_rosenbrock_valley():
     """Classic curved-valley problem from the standard starting point."""
 
     def residual(theta):
-        return np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]])
+        x, y = theta[:, 0], theta[:, 1]
+        return np.stack([10.0 * (y - x**2), 1.0 - x], axis=1)
 
     result = nlfit.levenberg_marquardt(residual, (-1.2, 1.0))
     assert abs(result.params[0] - 1.0) < 1e-6
@@ -52,10 +53,10 @@ def test_never_increases_ssr():
     target = np.sin(t)
 
     def residual(theta):
-        return theta[0] * t + theta[1] * t**2 - target
+        return theta[:, :1] * t + theta[:, 1:] * t**2 - target
 
     x0 = (3.0, -2.0)
-    initial = float(np.sum(residual(np.asarray(x0)) ** 2))
+    initial = float(np.sum(residual(np.asarray([x0])) ** 2))
     result = nlfit.levenberg_marquardt(residual, x0)
     assert result.ssr <= initial
     assert result.iterations >= 1
@@ -66,10 +67,64 @@ def test_never_increases_ssr():
 
 def test_non_finite_residual_raises():
     def residual(theta):
-        return np.array([math.nan, theta[0]])
+        return np.stack([np.full(len(theta), math.nan), theta[:, 0]], axis=1)
 
     with pytest.raises(NonFiniteResidualError):
         nlfit.levenberg_marquardt(residual, (1.0,))
+
+
+def test_wrong_shaped_residual_raises():
+    """A residual that drops the stack axis, or returns a single row for
+    the Jacobian's stack, is rejected instead of silently misread."""
+    t = np.linspace(0.0, 1.0, 20)
+
+    def flat(theta):
+        return (theta[:, :1] + theta[:, 1:] * t).ravel()
+
+    def one_row(theta):
+        return theta[:1, :1] + theta[:1, 1:] * t
+
+    for residual in (flat, one_row):
+        with pytest.raises(ValueError, match="residual returned shape"):
+            nlfit.levenberg_marquardt(residual, (0.0, 0.0))
+
+
+def _captured_refit_residual(monkeypatch, a):
+    """``fit_q_approx(a)``'s residual, taken from its first LM call."""
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(residual, x0):
+        captured.append(residual)
+        raise Captured
+
+    monkeypatch.setattr(nlfit, "levenberg_marquardt", capture)
+    with pytest.raises(Captured):
+        nlfit.fit_q_approx(a)
+    return captured[0]
+
+
+def test_stacked_jacobian_equals_column_loop(monkeypatch):
+    """One call on the stack of bumped vectors gives, element for element,
+    the Jacobian of n single-vector calls, in C order."""
+    residual = _captured_refit_residual(monkeypatch, 2.784)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        params = np.concatenate(
+            [rng.uniform(0.0, 0.5, 4), rng.uniform(-3.0, 3.0, 4)]
+        )
+        r0 = residual(params)
+        oracle = np.empty((r0.size, params.size))
+        for j in range(params.size):
+            step = 1e-7 * max(1.0, abs(params[j]))
+            bumped = params.copy()
+            bumped[j] += step
+            oracle[:, j] = (residual(bumped) - r0) / step
+        jac = nlfit._jacobian_fd(residual, params, r0)
+        assert np.array_equal(jac, oracle)
+        assert jac.flags.c_contiguous
 
 
 def test_default_fit_grid_shape():
