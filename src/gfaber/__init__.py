@@ -45,8 +45,6 @@ from gfaber.fading import (
     compact_kms,
     eta_mu_hH,
     parse_fading_json,
-    pdf_eta_mu,
-    pdf_kms,
     special_case_params,
 )
 from gfaber.modulation import ModulationSpec, mod_constants, parse_modulation
@@ -111,8 +109,6 @@ __all__ = [
     "mod_constants",
     "parse_fading_json",
     "parse_modulation",
-    "pdf_eta_mu",
-    "pdf_kms",
     "q_approx",
     "q_exact",
     "special_case_params",

@@ -83,10 +83,8 @@ class AberScenario:
         object.__setattr__(
             self, "snr_grid", tuple(float(v) for v in self.snr_grid)
         )
-        if not all(math.isfinite(v) for v in self.snr_grid):
-            raise ValueError(
-                f"snr_grid values must be finite, got {self.snr_grid}"
-            )
+        for snr_db in self.snr_grid:
+            fading_mod.db_to_power(snr_db, "snr_grid")
         if any(b <= a for a, b in zip(self.snr_grid, self.snr_grid[1:])):
             raise ValueError("snr_grid must be strictly increasing")
 
@@ -231,41 +229,28 @@ def aber_kms_closed(compact, fit, a_const, b_const, reduced=False):
 
 def aber_closed(params, mimo, fit, a_const, b_const, reduced=False):
     """Closed-form ABER for either fading family at fixed mean power."""
-    if isinstance(params, fading_mod.EtaMuParams):
-        compact = fading_mod.compact_eta_mu(params, mimo)
+    compact = fading_mod.compact(params, mimo)
+    if isinstance(compact, fading_mod.CompactEtaMu):
         return aber_eta_mu_closed(compact, fit, a_const, b_const, reduced)
-    compact = fading_mod.compact_kms(params, mimo)
     return aber_kms_closed(compact, fit, a_const, b_const, reduced)
-
-
-def _pdf_callable(params, mimo):
-    """Density evaluator for the quadrature oracles."""
-    if isinstance(params, fading_mod.EtaMuParams):
-        compact = fading_mod.compact_eta_mu(params, mimo)
-
-        def pdf(g):
-            lv = fading_mod.log_pdf_eta_mu(compact, g)
-            return exp(lv) if lv < 709.0 else math.inf
-
-    else:
-        compact = fading_mod.compact_kms(params, mimo)
-
-        def pdf(g):
-            lv = fading_mod.log_pdf_kms(compact, g)
-            return exp(lv) if lv < 709.0 else math.inf
-
-    return pdf
 
 
 def aber_point(scenario, snr_db, method=METHOD_CLOSED, rel_tol=1e-10):
     """Evaluate one SNR point of a scenario by the selected method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected {METHODS}")
-    params = replace(scenario.fading, mean_power=10.0 ** (snr_db / 10.0))
+    params = replace(
+        scenario.fading, mean_power=fading_mod.db_to_power(snr_db, "snr_db")
+    )
     a_const, b_const = modulation_mod.mod_constants(scenario.modulation)
     if method == METHOD_CLOSED:
         return aber_closed(params, scenario.mimo, scenario.noise, a_const, b_const)
-    pdf = _pdf_callable(params, scenario.mimo)
+    compact = fading_mod.compact(params, scenario.mimo)
+
+    def pdf(g):
+        lv = fading_mod.log_pdf(compact, g)
+        return exp(lv) if lv < 709.0 else math.inf
+
     if method == METHOD_ORACLE_APPROX:
         weight = scenario.noise
     else:

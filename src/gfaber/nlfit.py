@@ -162,14 +162,12 @@ def _nearest_builtin(a):
     return noise.BUILTIN_FITS[best]
 
 
-def fit_q_approx(a, grid=None):
+def fit_q_approx(a):
     """Refit the 4-exponential model for an arbitrary supported shape.
 
     Minimizes ``sum_x (sum_i p_i e^(-q_i x) - Q_a(sqrt(x)))^2`` over the
-    eight parameters, with positivity of the decay rates enforced by
-    optimizing ``log q_i``.  ``grid`` (default
-    :func:`~gfaber.noise.default_fit_grid`) must contain at least 16
-    distinct finite non-negative points.
+    eight parameters on :func:`~gfaber.noise.default_fit_grid`, with
+    positivity of the decay rates enforced by optimizing ``log q_i``.
 
     Returns a canonicalized :class:`~gfaber.noise.QApprox` (pairs sorted
     by ascending q, source ``"refit"``) from the best of
@@ -178,13 +176,7 @@ def fit_q_approx(a, grid=None):
     finite minimizer.
     """
     model = noise.make_noise_model(a)
-    if grid is None:
-        grid = default_fit_grid()
-    grid = np.asarray(grid, dtype=float)
-    if np.unique(grid).size < 16:
-        raise ValueError("fitting grid needs at least 16 distinct points")
-    if not np.all(np.isfinite(grid) & (grid >= 0.0)):
-        raise ValueError("fitting grid points must be finite and non-negative")
+    grid = np.asarray(default_fit_grid(), dtype=float)
     target = np.array([noise.q_exact(model, np.sqrt(x)) for x in grid])
 
     def residual(theta):

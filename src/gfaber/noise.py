@@ -12,9 +12,7 @@ with ``Lambda0 = sqrt(Gamma(3/a) / Gamma(1/a))``.  Note that with this
 convention ``Q_a(0) = Lambda0^(2/a - 1) / 2`` differs from 1/2 for
 ``a != 2`` (dramatically so for small ``a``), i.e. Q_a is not a tail
 probability away from the Gaussian case.  The built-in 4-exponential fits
-are consistent with exactly this convention, so it is kept as the default;
-``normalized=True`` selects the variant without the prefactor, whose value
-at the origin is 1/2 for every ``a``.
+are consistent with exactly this convention, so it is the one implemented.
 
 The closed-form error-rate expressions consume the 4-exponential model
 
@@ -122,19 +120,17 @@ def make_noise_model(a):
     return NoiseModel(float(a))
 
 
-def q_exact(model, x, normalized=False):
-    """Evaluate the generalized Q-function ``Q_a(x)`` for ``x >= 0``.
-
-    With ``normalized=True`` the leading ``Lambda0^(2/a - 1)`` factor is
-    dropped, giving the variant with ``Q(0) = 1/2`` for every shape.
-    """
+def q_exact(model, x):
+    """Evaluate the generalized Q-function ``Q_a(x)`` for ``x >= 0``."""
     if x < 0.0:
         raise ValueError(f"q_exact requires x >= 0, got {x}")
     a = model.a
     inv_a = 1.0 / a
-    log_pref = -math.log(2.0) - specfun.ln_gamma(inv_a)
-    if not normalized:
-        log_pref += (2.0 * inv_a - 1.0) * math.log(model.lambda0)
+    log_pref = (
+        -math.log(2.0)
+        - specfun.ln_gamma(inv_a)
+        + (2.0 * inv_a - 1.0) * math.log(model.lambda0)
+    )
     arg = (model.lambda0 * x) ** a
     return math.exp(log_pref) * specfun.upper_incomplete_gamma(inv_a, arg)
 
@@ -172,7 +168,7 @@ def builtin_fit(a):
 
 
 def default_fit_grid():
-    """Default fitting grid: {0} + {0.0625 k^2 : k = 1..32}.
+    """The fitting grid: {0} + {0.0625 k^2 : k = 1..32}.
 
     The grid lives in the squared-argument variable of the 4-exponential
     model; quadratic spacing concentrates points at small arguments where
@@ -181,19 +177,16 @@ def default_fit_grid():
     return [0.0] + [0.0625 * k * k for k in range(1, 33)]
 
 
-def max_abs_deviation(fit, grid=None):
-    """Max absolute deviation of a fit from the exact Q over a grid.
+def max_abs_deviation(fit):
+    """Max absolute deviation of a fit from the exact Q over the fitting
+    grid :func:`default_fit_grid`.
 
-    The grid (default :func:`default_fit_grid`) is in the squared-argument
-    variable (the fit's ``x``); each point compares ``sum p_i e^(-q_i x)``
-    with ``Q_a(sqrt(x))``.
+    The grid is in the squared-argument variable (the fit's ``x``); each
+    point compares ``sum p_i e^(-q_i x)`` with ``Q_a(sqrt(x))``.
     """
-    if grid is None:
-        grid = default_fit_grid()
     model = make_noise_model(fit.a)
     worst = 0.0
-    for x in grid:
-        x = float(x)
+    for x in default_fit_grid():
         dev = abs(q_approx(fit, x) - q_exact(model, math.sqrt(x)))
         worst = max(worst, dev)
     return worst

@@ -79,15 +79,15 @@ def _gk15(f, a, b):
 def integrate_semi_infinite(f, rel_tol):
     """Integrate ``f`` over [0, inf) to a relative tolerance.
 
-    ``f`` must be integrable and decaying; ``rel_tol`` must be at least
-    1e-12.  Subdivision stops once the accumulated error estimate falls
+    ``f`` must be integrable and decaying; ``rel_tol`` must be finite
+    and at least 1e-12.  Subdivision stops once the accumulated error estimate falls
     below ``rel_tol`` times the running total (or below an absolute floor
     that keeps identically-tiny integrals from looping).  Exceeding
     :data:`MAX_INTERVALS` subintervals raises
     :class:`~gfaber.errors.QuadratureError` carrying the partial result.
     """
-    if rel_tol < 1e-12:
-        raise ValueError(f"rel_tol must be >= 1e-12, got {rel_tol}")
+    if not 1e-12 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
 
     def transformed(t):
         u = 1.0 - t

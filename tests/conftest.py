@@ -61,13 +61,6 @@ def scenario_batch(family, count, seed):
     return batch
 
 
-def density_for(params, mimo):
-    """The family-appropriate PDF as a single-argument callable."""
-    if isinstance(params, fading.EtaMuParams):
-        return lambda g: fading.pdf_eta_mu(params, mimo, g)
-    return lambda g: fading.pdf_kms(params, mimo, g)
-
-
 def closed_aber(params, mimo, fit, a_const, b_const, reduced=False):
     return aber.aber_closed(params, mimo, fit, a_const, b_const, reduced=reduced)
 

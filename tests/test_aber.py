@@ -7,11 +7,12 @@ average taken through the eta-mu moment generating function.
 """
 
 import math
+from functools import partial
 
 import pytest
 
 from conftest import (
-    closed_aber, density_for, fail_gauss_2f1_near_one, record_direct_series,
+    closed_aber, fail_gauss_2f1_near_one, record_direct_series,
     scenario_batch,
 )
 
@@ -171,7 +172,7 @@ def test_negative_weight_row_stays_accurate():
                                           mean_power=10.0)
     closed = aber.aber_closed(params, MIMO2, fit, 2.0, 1.0)
     oracle = quadrature.aber_oracle(
-        density_for(params, MIMO2), fit, 2.0, 1.0, rel_tol=1e-11)
+        partial(fading.pdf, params, MIMO2), fit, 2.0, 1.0, rel_tol=1e-11)
     assert math.isclose(closed, oracle, rel_tol=1e-10)
 
 
@@ -185,6 +186,8 @@ def test_aber_closed_dispatches_by_family():
     assert aber.aber_closed(kms_params, MIMO4, FIT2, 1.0, 2.0) == \
         aber.aber_kms_closed(
             fading.compact_kms(kms_params, MIMO4), FIT2, 1.0, 2.0)
+    with pytest.raises(ValueError, match="got object"):
+        aber.aber_closed(object(), MIMO4, FIT2, 1.0, 2.0)
 
 
 def scenario(params, snr_grid=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0)):
@@ -278,7 +281,9 @@ def test_scenario_validation():
 
 def test_scenario_rejects_non_finite_snr():
     params = fading.EtaMuParams(shape=0.4, mu=1.0)
-    for grid in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+    # 4000 dB is finite but 10^(dB/10) is not; -4000 dB underflows to 0.
+    for grid in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                 (0.0, 4000.0), (-4000.0, 0.0)):
         with pytest.raises(ValueError, match="snr_grid"):
             aber.AberScenario(fading=params, mimo=MIMO1, noise=FIT2,
                               modulation=BPSK, snr_grid=grid)

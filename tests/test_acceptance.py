@@ -8,9 +8,10 @@ densities written from their definitions.
 """
 
 import math
+from functools import partial
 import time
 
-from conftest import closed_aber, density_for, scenario_batch
+from conftest import closed_aber, scenario_batch
 
 from gfaber import aber, fading, modulation, nlfit, noise, quadrature
 
@@ -85,7 +86,7 @@ def test_criterion_3_closed_form_matches_quadrature_everywhere():
         ):
             got = closed_aber(params, mimo, fit, a_const, b_const)
             want = quadrature.aber_oracle(
-                density_for(params, mimo), fit, a_const, b_const,
+                partial(fading.pdf, params, mimo), fit, a_const, b_const,
                 rel_tol=1e-11,
             )
             worst = max(worst, abs(got - want) / abs(want))
@@ -141,7 +142,7 @@ def test_criterion_5_rayleigh_bpsk_anchor():
         params = fading.special_case_params("rayleigh", mean_power=g)
         want = 0.5 * (1.0 - math.sqrt(g / (1.0 + g)))
         oracle = quadrature.aber_oracle(
-            density_for(params, MIMO1), exact_noise, 1.0, 2.0, rel_tol=1e-11
+            partial(fading.pdf, params, MIMO1), exact_noise, 1.0, 2.0, rel_tol=1e-11
         )
         closed = closed_aber(params, MIMO1, fit, 1.0, 2.0)
         worst_exact = max(worst_exact, abs(oracle - want) / want)
@@ -322,7 +323,7 @@ def test_criterion_9_densities_normalize_with_correct_mean():
                     m=rng.uniform(0.5, 10.0),
                     mean_power=power,
                 )
-            pdf = density_for(params, mimo)
+            pdf = partial(fading.pdf, params, mimo)
             norm = quadrature.integrate_semi_infinite(pdf, 1e-10)
             mean = quadrature.integrate_semi_infinite(
                 lambda g: g * pdf(g), 1e-10

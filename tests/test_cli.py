@@ -442,14 +442,6 @@ def test_qfit_rejects_out_of_range_shape(capsys):
     assert code == 2
 
 
-def test_qfit_custom_grid_must_parse(capsys):
-    grid = ",".join(str(x) for x in noise.default_fit_grid()[:20])
-    for text in ("1,two,3", grid + ",nan", grid + ",inf"):
-        code, _, err = run_cli(capsys, ["qfit", "--a", "2", "--grid", text])
-        assert code == 2
-        assert "--grid" in err
-
-
 # --------------------------------------------------------------------------
 # pdf
 
@@ -490,6 +482,24 @@ def test_pdf_zero_gamma_boundary(capsys):
     )
     assert code == 0
     assert out.strip().split("\n")[1] == "0.00000000e+00,0.00000000e+00"
+
+
+def test_db_input_beyond_double_range_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(
+        _GOOD_CONFIG, fading={"model": "rayleigh", "mean_power_db": 4000}
+    )), encoding="utf-8")
+    cases = (
+        (["pdf", "--model", "rayleigh", "--gamma", "1",
+          "--mean-power-db", "4000"], "--mean-power-db"),
+        (["aber"] + ETA_FLAGS + ["--snr", "3990:10:4000"], "--snr"),
+        (["aber", "--config", str(path)], "mean_power_db"),
+    )
+    for argv, name in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert name in err and "positive finite" in err, err
 
 
 def test_pdf_mean_power_db_shift(capsys):

@@ -58,8 +58,8 @@ def test_eta_mu_format1_symmetry():
         p_lo = fading.EtaMuParams(shape=0.25, mu=1.3)
         p_hi = fading.EtaMuParams(shape=4.0, mu=1.3)
         assert math.isclose(
-            fading.pdf_eta_mu(p_lo, MIMO1, g),
-            fading.pdf_eta_mu(p_hi, MIMO1, g),
+            fading.pdf(p_lo, MIMO1, g),
+            fading.pdf(p_hi, MIMO1, g),
             rel_tol=1e-13,
         )
 
@@ -92,14 +92,14 @@ def test_eta_mu_degenerate_is_exponential():
     params = fading.EtaMuParams(shape=1.0, mu=0.5, mean_power=1.0)
     for g in (0.1, 1.0, 3.0):
         assert math.isclose(
-            fading.pdf_eta_mu(params, MIMO1, g), math.exp(-g), rel_tol=1e-13
+            fading.pdf(params, MIMO1, g), math.exp(-g), rel_tol=1e-13
         )
 
 
 def test_eta_mu_pdf_frozen_references():
     params = fading.EtaMuParams(shape=0.5, mu=1.0, mean_power=1.0)
     for g, want in ETA_PDF_REFS.items():
-        got = fading.pdf_eta_mu(params, MIMO2, g)
+        got = fading.pdf(params, MIMO2, g)
         assert math.isclose(got, want, rel_tol=1e-12), (g, got, want)
 
 
@@ -107,7 +107,7 @@ def test_kms_pdf_frozen_references():
     params = fading.KappaMuShadowedParams(kappa=2.0, mu=1.5, m=2.0,
                                           mean_power=1.5)
     for g, want in KMS_PDF_REFS.items():
-        got = fading.pdf_kms(params, MIMO2, g)
+        got = fading.pdf(params, MIMO2, g)
         assert math.isclose(got, want, rel_tol=1e-12), (g, got, want)
 
 
@@ -117,35 +117,44 @@ def test_kms_kappa_zero_is_gamma_density():
                                           mean_power=1.0)
     for g in (0.01, 0.5, 1.0, 6.0):
         want = 4.0 * g * math.exp(-2.0 * g)  # shape 2, rate 2
-        assert math.isclose(fading.pdf_kms(params, MIMO1, g), want,
+        assert math.isclose(fading.pdf(params, MIMO1, g), want,
                             rel_tol=1e-13)
 
 
 def test_pdf_at_zero_limits():
     # aggregate shape > 1 -> 0; == 1 -> positive; < 1 -> +inf
-    assert fading.pdf_eta_mu(
+    assert fading.pdf(
         fading.EtaMuParams(shape=0.5, mu=1.0), MIMO1, 0.0) == 0.0
-    assert fading.pdf_kms(
+    assert fading.pdf(
         fading.KappaMuShadowedParams(kappa=0.0, mu=2.0, m=1.0), MIMO1, 0.0
     ) == 0.0
-    exp_at_zero = fading.pdf_kms(
+    exp_at_zero = fading.pdf(
         fading.KappaMuShadowedParams(kappa=0.0, mu=1.0, m=1.0), MIMO1, 0.0)
     assert math.isclose(exp_at_zero, 1.0, rel_tol=1e-13)
-    assert fading.pdf_kms(
+    assert fading.pdf(
         fading.KappaMuShadowedParams(kappa=1.0, mu=0.5, m=1.0), MIMO1, 0.0
     ) == math.inf
+
+
+def test_family_dispatch_rejects_other_types():
+    with pytest.raises(ValueError, match="got object"):
+        fading.compact(object(), MIMO1)
+    with pytest.raises(ValueError, match="got object"):
+        fading.log_pdf(object(), 1.0)
+    with pytest.raises(ValueError, match="got object"):
+        fading.pdf(object(), MIMO1, 1.0)
 
 
 def test_pdf_mean_matches_aggregate_power():
     """integral of g f(g) equals branches x per-branch mean power."""
     params = fading.EtaMuParams(shape=0.3, mu=1.5, mean_power=2.0)
     mean = quadrature.integrate_semi_infinite(
-        lambda g: g * fading.pdf_eta_mu(params, MIMO2, g), 1e-11)
+        lambda g: g * fading.pdf(params, MIMO2, g), 1e-11)
     assert math.isclose(mean, 4.0, rel_tol=1e-9)
     params = fading.KappaMuShadowedParams(kappa=3.0, mu=1.0, m=2.0,
                                           mean_power=0.5)
     mean = quadrature.integrate_semi_infinite(
-        lambda g: g * fading.pdf_kms(params, MIMO4, g), 1e-11)
+        lambda g: g * fading.pdf(params, MIMO4, g), 1e-11)
     assert math.isclose(mean, 2.0, rel_tol=1e-9)
 
 
@@ -155,7 +164,7 @@ def test_special_case_rayleigh_exact():
     assert params.kappa == 0.0
     for g in (0.1, 1.0, 5.0):
         want = math.exp(-g / 2.0) / 2.0
-        assert math.isclose(fading.pdf_kms(params, MIMO1, g), want,
+        assert math.isclose(fading.pdf(params, MIMO1, g), want,
                             rel_tol=1e-12)
 
 
@@ -163,7 +172,7 @@ def test_special_case_nakagami_exact():
     params = fading.special_case_params("nakagami-m", m=2.0)
     for g in (0.2, 1.3, 4.0):
         want = 4.0 * g * math.exp(-2.0 * g)
-        assert math.isclose(fading.pdf_kms(params, MIMO1, g), want,
+        assert math.isclose(fading.pdf(params, MIMO1, g), want,
                             rel_tol=1e-12)
 
 
@@ -171,7 +180,7 @@ def test_special_case_one_sided_gaussian_exact():
     params = fading.special_case_params("one-sided-gaussian")
     for g in (0.2, 1.0, 3.0):
         want = math.exp(-0.5 * g) / math.sqrt(2.0 * math.pi * g)
-        assert math.isclose(fading.pdf_kms(params, MIMO1, g), want,
+        assert math.isclose(fading.pdf(params, MIMO1, g), want,
                             rel_tol=1e-12)
 
 
@@ -187,7 +196,7 @@ def test_special_case_hoyt_exact():
         want = ((1.0 + q2) / (2.0 * q)
                 * math.exp(-((1.0 + q2) ** 2) * g / (4.0 * q2))
                 * sps.i0((1.0 - q2 * q2) * g / (4.0 * q2)))
-        got = fading.pdf_kms(params, MIMO1, g)
+        got = fading.pdf(params, MIMO1, g)
         assert math.isclose(got, want, rel_tol=1e-11), (g, got, want)
 
 
@@ -198,7 +207,7 @@ def test_special_case_rician_surrogate():
     for g in (0.1, 1.3, 4.0):
         want = ((1.0 + K) * math.exp(-K - (1.0 + K) * g)
                 * sps.i0(2.0 * math.sqrt(K * (1.0 + K) * g)))
-        got = fading.pdf_kms(params, MIMO1, g)
+        got = fading.pdf(params, MIMO1, g)
         assert math.isclose(got, want, rel_tol=1e-4), (g, got, want)
 
 
@@ -214,7 +223,7 @@ def test_special_case_kappa_mu_surrogate():
                 * math.exp(-mu * (1.0 + kappa) * g)
                 * sps.iv(mu - 1.0,
                          2.0 * mu * math.sqrt(kappa * (1.0 + kappa) * g)))
-        got = fading.pdf_kms(params, MIMO1, g)
+        got = fading.pdf(params, MIMO1, g)
         assert math.isclose(got, want, rel_tol=1e-3), (g, got, want)
 
 
@@ -233,8 +242,8 @@ def test_special_case_eta_mu_mapping_matches_native():
     mapped = fading.special_case_params("eta-mu", eta=eta, mu=mu)
     assert isinstance(mapped, fading.KappaMuShadowedParams)
     for g in (0.05, 0.5, 2.0, 8.0):
-        a = fading.pdf_eta_mu(native, MIMO1, g)
-        b = fading.pdf_kms(mapped, MIMO1, g)
+        a = fading.pdf(native, MIMO1, g)
+        b = fading.pdf(mapped, MIMO1, g)
         assert math.isclose(a, b, rel_tol=1e-9), (g, a, b)
 
 
@@ -253,6 +262,8 @@ def test_special_case_rejects_bad_arguments():
         fading.special_case_params("rayleigh", K=1.0)  # stray argument
     with pytest.raises(ValueError):
         fading.special_case_params("no-such-model")
+    with pytest.raises(ValueError, match="eta"):
+        fading.special_case_params("eta-mu", eta=math.inf, mu=1.0)
 
 
 def test_param_validation():

@@ -163,16 +163,3 @@ def test_refit_untabulated_shape():
     scale = noise.q_exact(model, 0.0)
     assert fit.source == "refit"
     assert nlfit.max_abs_deviation(fit) < 0.05 * scale
-
-
-def test_refit_rejects_small_grid():
-    with pytest.raises(ValueError):
-        nlfit.fit_q_approx(2.0, grid=[0.0, 1.0, 4.0])
-
-
-def test_refit_rejects_negative_grid():
-    for value in (-1.0, math.inf, math.nan):
-        bad = list(nlfit.default_fit_grid())
-        bad[5] = value
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            nlfit.fit_q_approx(2.0, grid=bad)

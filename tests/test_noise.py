@@ -57,14 +57,6 @@ def test_q_exact_frozen_references():
         assert math.isclose(noise.q_exact(model, 1.0), q1, rel_tol=1e-12), a
 
 
-def test_q_exact_normalized_origin_is_half():
-    """The normalized variant starts at 1/2 for every shape."""
-    for a in (0.25, 0.5, 0.8, 1.0, 1.7, 2.0, 3.1, 4.0):
-        model = noise.make_noise_model(a)
-        got = noise.q_exact(model, 0.0, normalized=True)
-        assert math.isclose(got, 0.5, rel_tol=1e-14), a
-
-
 def test_q_exact_monotone_decreasing():
     for a in (0.5, 1.0, 2.0, 3.5):
         model = noise.make_noise_model(a)

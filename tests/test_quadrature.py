@@ -39,6 +39,12 @@ def test_rejects_overtight_tolerance():
         quadrature.integrate_semi_infinite(lambda g: math.exp(-g), 1e-13)
 
 
+def test_rejects_non_finite_tolerance():
+    for rel_tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quadrature.integrate_semi_infinite(lambda g: math.exp(-g), rel_tol)
+
+
 def test_interval_budget_error_carries_partial_result(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 3)
     with pytest.raises(QuadratureError) as err:
@@ -57,7 +63,7 @@ def test_oracle_matches_rayleigh_bpsk_closed_form():
     a_const, b_const = modulation.mod_constants(
         modulation.parse_modulation("bpsk"))
     got = quadrature.aber_oracle(
-        lambda g: fading.pdf_kms(params, mimo, g),
+        lambda g: fading.pdf(params, mimo, g),
         model, a_const, b_const, rel_tol=1e-11)
     want = 0.5 * (1.0 - math.sqrt(gbar / (1.0 + gbar)))
     assert math.isclose(got, want, rel_tol=1e-8)
@@ -69,7 +75,7 @@ def test_oracle_approx_weight_uses_fit():
     params = fading.special_case_params("rayleigh", mean_power=1.0)
     mimo = fading.MimoConfig(nt=1, nr=1)
     got = quadrature.aber_oracle(
-        lambda g: fading.pdf_kms(params, mimo, g), fit, 1.0, 2.0,
+        lambda g: fading.pdf(params, mimo, g), fit, 1.0, 2.0,
         rel_tol=1e-11)
     # Rayleigh mean 1: integral of e^{-g} e^{-2 q g} dg = 1/(1 + 2q).
     want = sum(p / (1.0 + 2.0 * q) for p, q in zip(fit.p, fit.q))
@@ -81,7 +87,7 @@ def test_oracle_zero_amplitude_short_circuits():
     params = fading.special_case_params("rayleigh")
     mimo = fading.MimoConfig(nt=1, nr=1)
     got = quadrature.aber_oracle(
-        lambda g: fading.pdf_kms(params, mimo, g), fit, 0.0, 2.0)
+        lambda g: fading.pdf(params, mimo, g), fit, 0.0, 2.0)
     assert got == 0.0
 
 
@@ -96,7 +102,7 @@ def test_oracle_heavy_fading_concentration():
     mimo = fading.MimoConfig(nt=1, nr=1)
     model = noise.make_noise_model(2.0)
     got = quadrature.aber_oracle(
-        lambda g: fading.pdf_kms(params, mimo, g), model, 1.0, 2.0,
+        lambda g: fading.pdf(params, mimo, g), model, 1.0, 2.0,
         rel_tol=1e-11)
     want = 0.5 * math.erfc(math.sqrt(8.0) / math.sqrt(2.0))
     assert abs(got - want) / want < 1e-2
@@ -112,6 +118,6 @@ def test_oracle_bounded_by_origin_value():
         mimo = fading.MimoConfig(nt=1, nr=1)
         for weight in (model, fit):
             got = quadrature.aber_oracle(
-                lambda g: fading.pdf_kms(params, mimo, g), weight, 2.0, 1.0)
+                lambda g: fading.pdf(params, mimo, g), weight, 2.0, 1.0)
             ceiling = 2.0 * noise.q_exact(model, 0.0)
             assert got <= ceiling * (1.0 + 5e-3), (a, type(weight).__name__)
