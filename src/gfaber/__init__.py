@@ -18,8 +18,6 @@ from gfaber.aber import (
     AberCurve,
     AberScenario,
     aber_closed,
-    aber_eta_mu_closed,
-    aber_kms_closed,
     aber_point,
     sweep,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "SeriesError",
     "TABULATED_A",
     "aber_closed",
-    "aber_eta_mu_closed",
-    "aber_kms_closed",
     "aber_oracle",
     "aber_point",
     "backend",

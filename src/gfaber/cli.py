@@ -528,12 +528,13 @@ def _cmd_pdf(args):
     grid = _parse_values("--gamma", args.gamma)
     if any(g < 0.0 for g in grid):
         raise UsageError("--gamma values must be >= 0")
+    bundle = fading_mod.compact(params, mimo)
     rows = ["gamma,pdf"]
     for g in grid:
-        rows.append(f"{_num(g)},{_num(fading_mod.pdf(params, mimo, g))}")
+        rows.append(f"{_num(g)},{_num(fading_mod.bundle_pdf(bundle, g))}")
     if args.check_norm:
         norm = quadrature.integrate_semi_infinite(
-            lambda g: fading_mod.pdf(params, mimo, g) if g > 0.0 else 0.0,
+            lambda g: fading_mod.bundle_pdf(bundle, g) if g > 0.0 else 0.0,
             1e-9,
         )
         rows.append(f"norm,{_num(norm)}")

@@ -62,6 +62,8 @@ _SPECIAL_CASES = (
     "one-sided-gaussian",
 )
 
+_LOG2 = log(2.0)
+
 
 @dataclass(frozen=True)
 class MimoConfig:
@@ -330,6 +332,45 @@ def compact(params, mimo):
     )
 
 
+def mgf_terms(params, mimo):
+    """SNR-dependent constants of the closed-form error-rate terms.
+
+    For either family the average of ``exp(-s g)`` over the aggregated
+    density, at decay rate ``beta_i = beta + s``, is ``exp(base - k
+    log(beta_i) + shift) * 2F1(a', c'; c'; (pole / beta_i)^power)``.
+    Returns the plain tuple ``(base, k, beta, pole, power, a', c',
+    shift)``:
+
+    * eta-mu: ``k = m + nu``, pole ``xi``, power 2, ``a' = k/2``, ``c' =
+      1 + nu`` and ``shift = nu log(xi/2) - ln Gamma(1 + nu)``.  The
+      factor is ``2F1(k/2, (k+1)/2; 1 + nu; z)``; ``(k+1)/2`` equals ``1 +
+      nu`` on paper but not always in floating point, and the kernel
+      takes its closed form only when ``b == c``, so ``c'`` is both;
+    * kappa-mu shadowed: ``k = mu~``, pole ``zeta``, power 1, ``a' =
+      m~``, ``c' = mu~`` and ``shift = 0``.
+
+    ``base = log_psi + ln Gamma(k)``.  In the balanced eta-mu case and
+    at ``kappa = 0`` the pole is 0 and ``shift`` is 0, so the factor is
+    exactly 1.
+    """
+    bundle = compact(params, mimo)
+    shift = 0.0
+    if isinstance(bundle, CompactKms):
+        k = bundle.mu_tilde
+        pole, power, a_hyp, c_hyp = bundle.zeta, 1, bundle.m_tilde, k
+    else:
+        k = bundle.m + bundle.nu
+        pole, power, a_hyp, c_hyp = bundle.xi, 2, 0.5 * k, 1.0 + bundle.nu
+        if not bundle.degenerate:
+            shift = (
+                bundle.nu * log(bundle.xi)
+                - bundle.nu * _LOG2
+                - specfun.ln_gamma(bundle.nu + 1.0)
+            )
+    base = bundle.log_psi + specfun.ln_gamma(k)
+    return base, k, bundle.beta, pole, power, a_hyp, c_hyp, shift
+
+
 def log_pdf(bundle, g):
     """Natural log of the aggregated power PDF of a :func:`compact`
     bundle at ``g > 0``."""
@@ -344,7 +385,13 @@ def log_pdf(bundle, g):
 
 
 def pdf(params, mimo, g):
-    """Aggregated power PDF of either family at ``g >= 0``.
+    """Aggregated power PDF of either family at ``g >= 0``: the
+    :func:`bundle_pdf` of ``compact(params, mimo)``."""
+    return bundle_pdf(compact(params, mimo), g)
+
+
+def bundle_pdf(bundle, g):
+    """Aggregated power PDF of a :func:`compact` bundle at ``g >= 0``.
 
     Near zero the density behaves like ``g^(k-1)``, with ``k = m + nu =
     2 mu nt nr`` for eta-mu (the Bessel factor contributes ``g^nu``
@@ -357,7 +404,6 @@ def pdf(params, mimo, g):
     """
     if g < 0.0:
         raise ValueError(f"power must be >= 0, got {g}")
-    bundle = compact(params, mimo)
     if g == 0.0:
         if isinstance(bundle, CompactEtaMu):
             power = bundle.m + bundle.nu - 1.0
@@ -469,11 +515,12 @@ def parse_fading_json(obj):
         {"model": "kappa-mu-shadowed", "kappa": 1.5, "mu": 2, "m": 1,
          "mean_power_db": 10}
 
-    (format 2 uses ``"lambda"`` instead of ``"eta"``), plus the named
-    special cases of :func:`special_case_params` with their native
-    parameters (e.g. ``{"model": "hoyt", "q": 0.5}``).  Mean power can be
-    given as ``mean_power_db`` or linear ``mean_power`` (not both) and
-    defaults to 1.0 — sweeps replace it per SNR point anyway.
+    (format 2 uses ``"lambda"`` instead of ``"eta"``; ``"format"`` must be
+    the integer 1 or 2 and defaults to the one whose shape is given),
+    plus the named special cases of :func:`special_case_params` with
+    their native parameters (e.g. ``{"model": "hoyt", "q": 0.5}``).  Mean
+    power can be given as ``mean_power_db`` or linear ``mean_power`` (not
+    both) and defaults to 1.0 — sweeps replace it per SNR point anyway.
     """
     if "model" not in obj:
         raise ValueError("fading config requires a 'model' field")
@@ -490,20 +537,16 @@ def parse_fading_json(obj):
     else:
         mean_power = float(obj.pop("mean_power", 1.0))
     if model == "eta-mu" and ("eta" in obj or "lambda" in obj):
-        fmt_num = int(obj.pop("format", 1 if "eta" in obj else 2))
-        if fmt_num == 1:
-            if "eta" not in obj:
-                raise ValueError("eta-mu format 1 requires 'eta'")
-            shape = float(obj.pop("eta"))
-            fmt = FORMAT1
-        elif fmt_num == 2:
-            if "lambda" not in obj:
-                raise ValueError("eta-mu format 2 requires 'lambda'")
-            shape = float(obj.pop("lambda"))
-            fmt = FORMAT2
-        else:
-            raise ValueError(f"format must be 1 or 2, got {fmt_num}")
-        mu = float(obj.pop("mu", 0.0))
+        fmt_num = obj.pop("format", 1 if "eta" in obj else 2)
+        if type(fmt_num) is not int or fmt_num not in (1, 2):
+            raise ValueError(f"format must be 1 or 2, got {fmt_num!r}")
+        key, fmt = ("eta", FORMAT1) if fmt_num == 1 else ("lambda", FORMAT2)
+        if key not in obj:
+            raise ValueError(f"eta-mu format {fmt_num} requires {key!r}")
+        shape = float(obj.pop(key))
+        if "mu" not in obj:
+            raise ValueError("eta-mu requires field 'mu'")
+        mu = float(obj.pop("mu"))
         if obj:
             raise ValueError(f"unexpected fading fields: {sorted(obj)}")
         return EtaMuParams(shape=shape, mu=mu, mean_power=mean_power, fmt=fmt)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 
-from gfaber import aber, fading, modulation, noise, specfun
+import mpmath
+
+from gfaber import fading, modulation, noise, specfun
 from gfaber.errors import SeriesError
 
 # Round-robin coverage: every scheme family and every tabulated noise
@@ -61,8 +63,46 @@ def scenario_batch(family, count, seed):
     return batch
 
 
-def closed_aber(params, mimo, fit, a_const, b_const, reduced=False):
-    return aber.aber_closed(params, mimo, fit, a_const, b_const, reduced=reduced)
+def mgf_aber(params, mimo, fit, a_const, b_const):
+    """``A * sum_i p_i M(q_i B)`` in 40-digit mpmath, independent of gfaber.
+
+    ``M`` is the MGF of the SNR aggregated over ``N = nt * nr`` branches,
+    written as two elementary factors from the per-branch parameters:
+
+    * eta-mu: ``M(s) = (1 + s/b1)^-(mu N) (1 + s/b2)^-(mu N)`` with
+      ``b1,2 = 2 mu (h -+ |H|) / gbar``;
+    * kappa-mu shadowed: ``M(s) = (1 + s/beta)^-mu~ (1 + mu~ kappa s /
+      (m~ (beta + s)))^-m~`` with ``beta = mu~ (1 + kappa) / (N gbar)``.
+    """
+    with mpmath.workdps(40):
+        n = mimo.branches
+        gbar = mpmath.mpf(params.mean_power)
+        mu = mpmath.mpf(params.mu)
+        if isinstance(params, fading.EtaMuParams):
+            s = mpmath.mpf(params.shape)
+            if params.fmt == fading.FORMAT1:
+                h, big_h = (1 + s) ** 2 / (4 * s), (1 - s * s) / (4 * s)
+            else:
+                h, big_h = 1 / (1 - s * s), s / (1 - s * s)
+            b1 = 2 * mu * (h - abs(big_h)) / gbar
+            b2 = 2 * mu * (h + abs(big_h)) / gbar
+
+            def mgf(x):
+                return ((1 + x / b1) * (1 + x / b2)) ** (-mu * n)
+        else:
+            mu_t, m_t = n * mu, n * mpmath.mpf(params.m)
+            kappa = mpmath.mpf(params.kappa)
+            beta = mu_t * (1 + kappa) / (n * gbar)
+
+            def mgf(x):
+                return (1 + x / beta) ** -mu_t * (
+                    1 + mu_t * kappa * x / (m_t * (beta + x))
+                ) ** -m_t
+        total = mpmath.mpf(a_const) * mpmath.fsum(
+            mpmath.mpf(p) * mgf(mpmath.mpf(q) * b_const)
+            for p, q in zip(fit.p, fit.q)
+        )
+        return float(total)
 
 
 def fail_gauss_2f1_near_one(monkeypatch):

@@ -7,14 +7,12 @@ average taken through the eta-mu moment generating function.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from conftest import (
-    closed_aber, fail_gauss_2f1_near_one, record_direct_series,
-    scenario_batch,
-)
+from conftest import fail_gauss_2f1_near_one, mgf_aber, record_direct_series
 
 from gfaber import aber, cli, fading, modulation, noise, quadrature, specfun
 
@@ -76,31 +74,27 @@ def test_preset_curves_take_the_elementary_2f1_path(monkeypatch):
     assert series_runs == []
 
 
-def test_closed_equals_reduced_across_batch():
-    """Full and simplified expressions are the same function."""
-    for family in ("eta-mu", "kappa-mu-shadowed"):
-        for params, mimo, fit, a_const, b_const in scenario_batch(
-                family, 10, seed=20240211):
-            full = closed_aber(params, mimo, fit, a_const, b_const)
-            red = closed_aber(params, mimo, fit, a_const, b_const,
-                              reduced=True)
-            assert math.isclose(full, red, rel_tol=1e-12, abs_tol=1e-300), (
-                family, params)
-
-
-def test_closed_equals_reduced_on_boundaries():
-    """Degenerate eta = 1 and kappa = 0 keep the identity intact."""
-    compact = fading.compact_eta_mu(
-        fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0), MIMO2)
-    full = aber.aber_eta_mu_closed(compact, FIT2, 1.0, 2.0)
-    red = aber.aber_eta_mu_closed(compact, FIT2, 1.0, 2.0, reduced=True)
-    assert math.isclose(full, red, rel_tol=1e-12)
-    compact = fading.compact_kms(
-        fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
-                                     mean_power=5.0), MIMO2)
-    full = aber.aber_kms_closed(compact, FIT2, 1.0, 2.0)
-    red = aber.aber_kms_closed(compact, FIT2, 1.0, 2.0, reduced=True)
-    assert math.isclose(full, red, rel_tol=1e-12)
+def test_closed_matches_mgf_sum_on_preset_curves():
+    """Every preset-curve point, plus balanced eta = 1 and kappa = 0
+    scenarios, equals the 40-digit MGF sum to 1e-12."""
+    cases = [
+        (fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0), MIMO2,
+         FIT2, 1.0, 2.0),
+        (fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
+                                      mean_power=5.0), MIMO2, FIT2, 1.0, 2.0),
+    ]
+    for name in cli.PRESETS:
+        scenarios, _ = cli._scenarios_from_preset(name)
+        for _, sc in scenarios:
+            a_const, b_const = modulation.mod_constants(sc.modulation)
+            for snr_db in sc.snr_grid:
+                params = replace(
+                    sc.fading, mean_power=fading.db_to_power(snr_db, "snr"))
+                cases.append((params, sc.mimo, sc.noise, a_const, b_const))
+    assert len(cases) == 2 + 464
+    for case in cases:
+        got = aber.aber_closed(*case)
+        assert math.isclose(got, mgf_aber(*case), rel_tol=1e-12), case
 
 
 def test_kappa_zero_matches_gamma_mgf():
@@ -157,11 +151,9 @@ def test_more_branches_lower_aber():
 
 def test_zero_amplitude_returns_zero():
     params = fading.EtaMuParams(shape=0.5, mu=1.0)
-    compact = fading.compact_eta_mu(params, MIMO1)
-    assert aber.aber_eta_mu_closed(compact, FIT2, 0.0, 2.0) == 0.0
+    assert aber.aber_closed(params, MIMO1, FIT2, 0.0, 2.0) == 0.0
     kparams = fading.KappaMuShadowedParams(kappa=1.0, mu=1.0, m=1.0)
-    kcompact = fading.compact_kms(kparams, MIMO1)
-    assert aber.aber_kms_closed(kcompact, FIT2, 0.0, 2.0) == 0.0
+    assert aber.aber_closed(kparams, MIMO1, FIT2, 0.0, 2.0) == 0.0
 
 
 def test_negative_weight_row_stays_accurate():
@@ -177,15 +169,33 @@ def test_negative_weight_row_stays_accurate():
 
 
 def test_aber_closed_dispatches_by_family():
+    """``fading.mgf_terms`` hands ``aber_closed`` each family's constants:
+    (base, k, beta, pole, power, a', c', shift).  Balanced eta = 1 and
+    kappa = 0 have no pole and no shift, so every 2F1 factor is 1."""
     eta_params = fading.EtaMuParams(shape=0.5, mu=1.0, mean_power=10.0)
-    assert aber.aber_closed(eta_params, MIMO4, FIT2, 1.0, 2.0) == \
-        aber.aber_eta_mu_closed(
-            fading.compact_eta_mu(eta_params, MIMO4), FIT2, 1.0, 2.0)
+    compact = fading.compact_eta_mu(eta_params, MIMO4)
+    k = compact.m + compact.nu
+    assert fading.mgf_terms(eta_params, MIMO4)[1:7] == (
+        k, compact.beta, compact.xi, 2, 0.5 * k, 1.0 + compact.nu)
+    assert math.isclose(
+        aber.aber_closed(eta_params, MIMO4, FIT2, 1.0, 2.0),
+        mgf_aber(eta_params, MIMO4, FIT2, 1.0, 2.0), rel_tol=1e-12)
     kms_params = fading.KappaMuShadowedParams(kappa=2.0, mu=2.0, m=1.0,
                                               mean_power=10.0)
-    assert aber.aber_closed(kms_params, MIMO4, FIT2, 1.0, 2.0) == \
-        aber.aber_kms_closed(
-            fading.compact_kms(kms_params, MIMO4), FIT2, 1.0, 2.0)
+    compact = fading.compact_kms(kms_params, MIMO4)
+    assert fading.mgf_terms(kms_params, MIMO4)[1:] == (
+        compact.mu_tilde, compact.beta, compact.zeta, 1, compact.m_tilde,
+        compact.mu_tilde, 0.0)
+    assert math.isclose(
+        aber.aber_closed(kms_params, MIMO4, FIT2, 1.0, 2.0),
+        mgf_aber(kms_params, MIMO4, FIT2, 1.0, 2.0), rel_tol=1e-12)
+    for balanced in (
+        fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0),
+        fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
+                                     mean_power=5.0),
+    ):
+        terms = fading.mgf_terms(balanced, MIMO2)
+        assert (terms[3], terms[7]) == (0.0, 0.0), balanced
     with pytest.raises(ValueError, match="got object"):
         aber.aber_closed(object(), MIMO4, FIT2, 1.0, 2.0)
 

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import fail_gauss_2f1_near_one
 
-from gfaber import aber, cli, noise
+from gfaber import aber, cli, fading, noise
 from gfaber.errors import NonFiniteResidualError
 
 
@@ -472,6 +472,27 @@ def test_pdf_norm_check(capsys):
     key, value = last.split(",")
     assert key == "norm"
     assert math.isclose(float(value), 1.0, rel_tol=1e-6)
+
+
+def test_pdf_check_norm_builds_the_density_once(capsys, monkeypatch):
+    """The printed values and the norm's quadrature nodes all read one
+    coefficient bundle."""
+    real = fading.compact_eta_mu
+    calls = []
+
+    def compact_eta_mu(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fading, "compact_eta_mu", compact_eta_mu)
+    code, out, _ = run_cli(
+        capsys,
+        ["pdf", "--model", "eta-mu", "--eta", "0.5", "--mu", "1",
+         "--gamma", "0.5,1.0,2.0", "--check-norm"],
+    )
+    assert code == 0
+    assert out.strip().split("\n")[-1].startswith("norm,")
+    assert len(calls) == 1
 
 
 def test_pdf_zero_gamma_boundary(capsys):

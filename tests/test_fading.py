@@ -331,6 +331,24 @@ def test_parse_fading_json_eta_mu():
         {"model": "eta-mu", "lambda": -0.3, "mu": 1.0})
     assert p.fmt == fading.FORMAT2
     assert p.shape == -0.3
+    for fmt_num, key, fmt in ((1, "eta", fading.FORMAT1),
+                              (2, "lambda", fading.FORMAT2)):
+        p = fading.parse_fading_json(
+            {"model": "eta-mu", "format": fmt_num, key: 0.5, "mu": 1.0})
+        assert p.fmt == fmt
+
+
+@pytest.mark.parametrize("fmt", [1.5, True, False, 1.0, "1", 3])
+def test_parse_fading_json_rejects_format_other_than_1_or_2(fmt):
+    with pytest.raises(ValueError, match="format must be 1 or 2"):
+        fading.parse_fading_json(
+            {"model": "eta-mu", "format": fmt, "eta": 0.5, "mu": 1.0})
+
+
+@pytest.mark.parametrize("shape", [{"eta": 0.5}, {"lambda": 0.5}])
+def test_parse_fading_json_names_missing_eta_mu_mu(shape):
+    with pytest.raises(ValueError, match="eta-mu requires field 'mu'"):
+        fading.parse_fading_json({"model": "eta-mu", **shape})
 
 
 def test_parse_fading_json_kms_and_special():
