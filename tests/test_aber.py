@@ -12,7 +12,8 @@ from functools import partial
 
 import pytest
 
-from conftest import fail_gauss_2f1_near_one, mgf_aber, record_direct_series
+from conftest import (fail_gauss_2f1_near_one, mgf_aber, record_direct_series,
+                      scenario_batch)
 
 from gfaber import aber, cli, fading, modulation, noise, quadrature, specfun
 
@@ -74,15 +75,31 @@ def test_preset_curves_take_the_elementary_2f1_path(monkeypatch):
     assert series_runs == []
 
 
+def test_closed_equals_reduced_across_batch():
+    """The closed form and the elementary MGF sum are the same function."""
+    for family in ("eta-mu", "kappa-mu-shadowed"):
+        for case in scenario_batch(family, 10, seed=20240211):
+            got = aber.aber_closed(*case)
+            assert math.isclose(got, mgf_aber(*case), rel_tol=1e-12,
+                                abs_tol=1e-300), (family, case[0])
+
+
+def test_closed_equals_reduced_on_boundaries():
+    """Degenerate eta = 1 and kappa = 0 keep the identity intact."""
+    for params in (
+            fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0),
+            fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
+                                         mean_power=5.0)):
+        terms = fading.mgf_terms(params, MIMO2)
+        assert terms[3] == 0.0 and terms[7] == 0.0, params
+        case = (params, MIMO2, FIT2, 1.0, 2.0)
+        got = aber.aber_closed(*case)
+        assert math.isclose(got, mgf_aber(*case), rel_tol=1e-12), params
+
+
 def test_closed_matches_mgf_sum_on_preset_curves():
-    """Every preset-curve point, plus balanced eta = 1 and kappa = 0
-    scenarios, equals the 40-digit MGF sum to 1e-12."""
-    cases = [
-        (fading.EtaMuParams(shape=1.0, mu=1.5, mean_power=5.0), MIMO2,
-         FIT2, 1.0, 2.0),
-        (fading.KappaMuShadowedParams(kappa=0.0, mu=1.5, m=2.0,
-                                      mean_power=5.0), MIMO2, FIT2, 1.0, 2.0),
-    ]
+    """Every preset-curve point equals the 40-digit MGF sum to 1e-12."""
+    cases = []
     for name in cli.PRESETS:
         scenarios, _ = cli._scenarios_from_preset(name)
         for _, sc in scenarios:
@@ -91,7 +108,7 @@ def test_closed_matches_mgf_sum_on_preset_curves():
                 params = replace(
                     sc.fading, mean_power=fading.db_to_power(snr_db, "snr"))
                 cases.append((params, sc.mimo, sc.noise, a_const, b_const))
-    assert len(cases) == 2 + 464
+    assert len(cases) == 464
     for case in cases:
         got = aber.aber_closed(*case)
         assert math.isclose(got, mgf_aber(*case), rel_tol=1e-12), case
